@@ -5,7 +5,8 @@ Subcommands: ``squashed`` (key-rate upper bound), ``lp primal`` / ``lp dual``
 ``bounds`` (consolidated table) and ``purity`` (floating see-saw oracle).
 
 Results go to stdout (or ``--out``), diagnostics to stderr.  Exit codes:
-0 success, 1 verification failure, 2 usage error, 3 solver failure.
+0 success, 1 verification failure, 2 usage error, 3 solver failure or a
+failed internal self-check.
 """
 
 from __future__ import annotations
@@ -233,6 +234,8 @@ def cmd_bounds(args) -> int:
         raise UsageError("--d must be at least 3")
     if args.n < 1:
         raise UsageError("--n must be positive")
+    # The LP and analytic rows come from the limit programme, so they are
+    # labelled d=inf; only the closed forms depend on --d.
     kd = bnd.squashed_upper_bound(args.d)
     ec_lp = bnd.cost_lower_bound(args.n, prg.DINF, "lp")
     ec_an = bnd.cost_lower_bound(args.n, prg.DINF, "analytic")
@@ -242,13 +245,13 @@ def cmd_bounds(args) -> int:
     rows = [
         _row("kd_upper", kd.exact_core, kd.log2_value, kd.source, d=args.d),
         _row("ec_lower_lp", ec_lp.exact_core, ec_lp.log2_value, ec_lp.source,
-             n=args.n, d=args.d),
+             n=args.n, d=prg.DINF),
         _row("ec_lower_analytic", ec_an.exact_core, ec_an.log2_value,
-             ec_an.source, n=args.n, d=args.d),
+             ec_an.source, n=args.n, d=prg.DINF),
         _row("er_lower_lp", er_lp.exact_core, er_lp.log2_value, er_lp.source,
-             n=args.n, d=args.d),
+             n=args.n, d=prg.DINF),
         _row("er_lower_analytic", er_an.exact_core, er_an.log2_value,
-             er_an.source, n=args.n, d=args.d),
+             er_an.source, n=args.n, d=prg.DINF),
         _row("er_ppt_reference", er_ppt.exact_core, er_ppt.log2_value,
              er_ppt.source, d=args.d),
     ]
@@ -505,6 +508,10 @@ def main(argv=None) -> int:
         return EXIT_SOLVER
     except RuntimeError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
+    except ArithmeticError as exc:
+        # a failed exact self-check (closed form against scan, purity <= 1)
+        print(f"internal check failed: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 
 

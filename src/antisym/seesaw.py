@@ -1,6 +1,7 @@
 """Floating-point see-saw oracle for the maximum purity.
 
-This is the only module that touches inexact arithmetic.  It produces a
+This is the only module whose floating-point results are reported (the
+simplex's float basis guess only steers exact pivoting).  It produces a
 certified *lower* bound on the maximum purity of the A-side reduction over
 unit vectors in the n-fold tensor power of the antisymmetric pair subspace,
 for cross-validation against the exact LP upper bounds.

@@ -4,14 +4,24 @@ Problems are maximisations over rational data:
 
     max c.x   s.t.   A_ub x <= b_ub,  A_eq x = b_eq,  x_j >= 0 (flagged)
 
-Two-phase method with Bland's anti-cycling rule throughout.  The tableau
-keeps every row as a primitive integer vector (contents divided out after
-each pivot), which bounds entry growth by subdeterminant sizes instead of
-letting rational numerators and denominators compound; the objective row is
-held as integers over one positive denominator.  Every optimal solution is
-returned together with a dual vector, and the pair is certified exactly
-(feasibility both sides, zero duality gap, complementary slackness) before
-being handed back; a certification failure is a bug and raises.
+Two-phase method over exact integer tableaux with float-guided pricing.  A
+small dense floating-point simplex first solves the same standard form and
+guesses an optimal basis, the guess-then-certify scheme of Applegate, Cook,
+Dash & Espinoza (2007) and Gleixner, Steffy & Wolter (2016).  The exact
+method then prefers the guessed columns as entering columns, each at most
+once per phase, and falls back to Bland's anti-cycling rule, so it always
+terminates.  The guess only chooses entering columns: the exact ratio test
+keeps every basis exactly feasible, and a wrong or missing guess costs
+pivots, never correctness.
+
+The tableau keeps every row as a primitive integer vector (contents divided
+out after each pivot), which bounds entry growth by subdeterminant sizes
+instead of letting rational numerators and denominators compound; the
+objective row is held as integers over one positive denominator.  Every
+optimal solution is returned together with a dual vector, and the pair is
+certified exactly (feasibility both sides, zero duality gap, complementary
+slackness) before being handed back; a certification failure is a bug and
+raises.
 """
 
 from __future__ import annotations
@@ -20,11 +30,18 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
+import numpy as np
+
 from .linalg import _frac
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
+
+# The float guess: pivot tolerance on row- and column-scaled data, and its
+# pivot cap as a multiple of rows plus columns.
+FLOAT_TOL = 1e-9
+FLOAT_PIVOT_FACTOR = 25
 
 
 class SolverError(RuntimeError):
@@ -69,12 +86,7 @@ class LPSolution:
     value: Fraction | None = None
     y_ub: list[Fraction] | None = None
     y_eq: list[Fraction] | None = None
-
-    @property
-    def dual_value(self) -> Fraction | None:
-        return self._dual_value
-
-    _dual_value: Fraction | None = None
+    dual_value: Fraction | None = None
 
 
 def _certify(lp: LPProblem, x: list[Fraction], y_ub: list[Fraction],
@@ -132,11 +144,12 @@ class _Tableau:
     """
 
     def __init__(self, rows: list[list[int]], rhs: list[int],
-                 basis: list[int], num_cols: int):
+                 basis: list[int], num_cols: int, prefer: set[int]):
         self.rows = rows
         self.rhs = rhs
         self.basis = basis
         self.num_cols = num_cols
+        self.prefer = prefer
         self.obj: list[int] = [0] * num_cols
         self.obj_den = 1
 
@@ -210,13 +223,26 @@ class _Tableau:
         self.basis[r] = j
 
     def run(self, barred: set[int]) -> str:
-        """Maximise; returns OPTIMAL or UNBOUNDED.  Bland's rule throughout."""
+        """Maximise; returns OPTIMAL or UNBOUNDED.
+
+        A column of ``prefer`` with a negative reduced cost enters first,
+        lowest index first, and each is preferred at most once per call;
+        otherwise Bland's rule picks the entering column.  The preferences
+        run out, so Bland's rule guarantees termination.
+        """
+        pending = sorted(self.prefer - barred)
         while True:
             enter = -1
-            for j in range(self.num_cols):
-                if self.obj[j] < 0 and j not in barred:
+            for j in pending:
+                if self.obj[j] < 0:
                     enter = j
+                    pending.remove(j)
                     break
+            else:
+                for j in range(self.num_cols):
+                    if self.obj[j] < 0 and j not in barred:
+                        enter = j
+                        break
             if enter < 0:
                 return OPTIMAL
             leave = -1
@@ -238,6 +264,96 @@ class _Tableau:
             if leave < 0:
                 return UNBOUNDED
             self.pivot(leave, enter)
+
+
+def _float_run(t: np.ndarray, basis: list[int], allowed: np.ndarray,
+               cap: int) -> bool:
+    """Dense float simplex on tableau ``t`` (objective row last, right-hand
+    side last), most negative reduced cost first.  True at an optimum; False
+    when unbounded, stalled at the pivot cap or no longer finite."""
+    m = len(basis)
+    for _ in range(cap):
+        obj = np.where(allowed, t[m, :-1], 0.0)
+        j = int(np.argmin(obj))
+        if not obj[j] < -FLOAT_TOL:
+            return bool(np.isfinite(t).all())
+        col = t[:m, j]
+        pos = col > FLOAT_TOL
+        if not pos.any():
+            return False
+        ratio = np.full(m, np.inf)
+        ratio[pos] = t[:m, -1][pos] / col[pos]
+        _float_pivot(t, int(np.argmin(ratio)), j, basis)
+    return False
+
+
+def _float_pivot(t: np.ndarray, r: int, j: int, basis: list[int]) -> None:
+    t[r] /= t[r, j]
+    factor = t[:, j].copy()
+    factor[r] = 0.0
+    t -= np.outer(factor, t[r])
+    basis[r] = j
+
+
+def _max_abs(x: np.ndarray, axis=None) -> np.ndarray:
+    """Largest absolute entry along ``axis``, with 1 in place of 0."""
+    top = np.abs(x).max(axis=axis, initial=0.0)
+    return np.where(top > 0, top, 1.0)
+
+
+def _float_basis(rows: list[list[int]], rhs: list[int], cost: list[Fraction],
+                 basis: list[int]) -> list[int]:
+    """Floating-point guess of an optimal basis of the standard form.
+
+    ``rows`` and ``rhs`` are the integer constraint rows over the structural
+    and slack columns, with nonnegative right-hand sides; ``cost`` holds the
+    phase-two costs of those columns and ``basis`` the starting basis, -1 on
+    the rows that start on an artificial.  Rows and columns are scaled to unit
+    maximum, which leaves the set of optimal bases unchanged.  Returns the
+    structural and slack columns of the final basis, or [] when the float
+    solve finds no optimum.
+    """
+    m, num_cols = len(rows), len(cost)
+    arts = [i for i in range(m) if basis[i] < 0]
+    width = num_cols + len(arts)
+    cap = FLOAT_PIVOT_FACTOR * (m + width)
+    a = np.array(rows, dtype=float).reshape(m, num_cols)
+    b = np.array(rhs, dtype=float)
+    c = np.array([float(v) for v in cost])
+    with np.errstate(all="ignore"):
+        row_scale = _max_abs(a, axis=1)
+        a /= row_scale[:, None]
+        b /= row_scale
+        col_scale = _max_abs(a, axis=0)
+        a /= col_scale
+        c /= col_scale
+        c /= _max_abs(c)
+
+        t = np.zeros((m + 1, width + 1))
+        t[:m, :num_cols] = a
+        t[:m, -1] = b
+        basis = list(basis)
+        for k, i in enumerate(arts):
+            t[i, num_cols + k] = 1.0
+            basis[i] = num_cols + k
+
+        def price(costs: np.ndarray) -> None:
+            t[m] = costs[basis] @ t[:m] - costs
+
+        if arts:
+            price(np.r_[np.zeros(num_cols), -np.ones(len(arts)), 0.0])
+            if (not _float_run(t, basis, np.ones(width, bool), cap)
+                    or t[m, -1] < -FLOAT_TOL):
+                return []
+            for r in range(m):
+                if basis[r] >= num_cols:
+                    j = int(np.argmax(np.abs(t[r, :num_cols])))
+                    if abs(t[r, j]) > FLOAT_TOL:
+                        _float_pivot(t, r, j, basis)
+        price(np.r_[c, np.zeros(len(arts) + 1)])
+        if not _float_run(t, basis, np.arange(width) < num_cols, cap):
+            return []
+    return [j for j in basis if j < num_cols]
 
 
 def simplex_solve(lp: LPProblem) -> LPSolution:
@@ -298,6 +414,11 @@ def simplex_solve(lp: LPProblem) -> LPSolution:
         if i < m_ub and signs[i] > 0:
             basis[i] = width + i
             id_col[i] = width + i
+    try:    # the guess only steers pricing, so a failed one is dropped
+        prefer = set(_float_basis(rows, rhs, cost_full + [zero] * m_ub,
+                                  basis)).intersection(range(num_cols))
+    except (ArithmeticError, ValueError):   # overflow to float, empty LP
+        prefer = set()
     for i in range(m):
         if basis[i] < 0:
             col = num_cols + len(art_cols)
@@ -311,7 +432,7 @@ def simplex_solve(lp: LPProblem) -> LPSolution:
         if len(rows[i]) < total_cols:
             rows[i].extend([0] * (total_cols - len(rows[i])))
 
-    tab = _Tableau(rows, rhs, basis, total_cols)
+    tab = _Tableau(rows, rhs, basis, total_cols, prefer)
     barred: set[int] = set()
 
     if art_cols:
@@ -354,7 +475,7 @@ def simplex_solve(lp: LPProblem) -> LPSolution:
     y_eq = y[m_ub:]
 
     value = _certify(lp, x, y_ub, y_eq)
-    sol = LPSolution(status=OPTIMAL, x=x, value=value, y_ub=y_ub, y_eq=y_eq)
-    sol._dual_value = (sum(a * b for a, b in zip(y_ub, lp.b_ub))
-                       + sum(a * b for a, b in zip(y_eq, lp.b_eq)))
-    return sol
+    dual_value = (sum(a * b for a, b in zip(y_ub, lp.b_ub))
+                  + sum(a * b for a, b in zip(y_eq, lp.b_eq)))
+    return LPSolution(status=OPTIMAL, x=x, value=value, y_ub=y_ub, y_eq=y_eq,
+                      dual_value=dual_value)

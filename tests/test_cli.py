@@ -176,3 +176,42 @@ def test_solver_failure_exit_code(capsys, monkeypatch):
     code, _, err = run(capsys, "lp", "primal", "--n", "2", "--dinf")
     assert code == 3
     assert "solver failure" in err
+
+
+def test_bounds_rows_name_the_programme_they_come_from(capsys):
+    from antisym.programs import DINF, solve_purity_bound
+
+    code, out, _ = run(capsys, "bounds", "--d", "4", "--n", "8",
+                       "--format", "json")
+    assert code == 0
+    rows = {r["quantity"]: r for r in json.loads(out)["results"]}
+    limit = solve_purity_bound(8, DINF).value
+    for name in ("ec_lower_lp", "er_lower_lp"):
+        exact = rows[name]["exact"]
+        assert F(int(exact["num"]), int(exact["den"])) == limit == F(5, 66)
+    expected_d = {"kd_upper": 4, "er_ppt_reference": 4,
+                  "ec_lower_lp": "inf", "er_lower_lp": "inf",
+                  "ec_lower_analytic": "inf", "er_lower_analytic": "inf"}
+    assert {name: r["d"] for name, r in rows.items()} == expected_d
+    code, out, _ = run(capsys, "bounds", "--d", "4", "--n", "8",
+                       "--format", "csv")
+    assert "ec_lower_lp,8,inf,5,66," in out
+
+
+@pytest.mark.parametrize("argv, target", [
+    (("bounds", "--d", "4", "--n", "2"), "squashed_upper_bound"),
+    (("squashed", "--d", "5"), "squashed_upper_bound"),
+    (("purity", "--d", "3", "--n", "1", "--restarts", "1", "--iters", "5"),
+     "purity_seesaw"),
+])
+def test_internal_check_failure_exit_code(capsys, monkeypatch, argv, target):
+    from antisym import cli
+
+    def boom(*args, **kwargs):
+        raise ArithmeticError("closed form does not match the scan")
+
+    monkeypatch.setattr(cli.bnd, target, boom)
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err == "internal check failed: closed form does not match the scan\n"

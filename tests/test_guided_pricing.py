@@ -1,0 +1,178 @@
+"""Float-guided pricing: the basis guess changes pivots, never results."""
+
+from fractions import Fraction as F
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from antisym import simplex
+from antisym.programs import build_dual, build_purity_bound
+from antisym.simplex import LPProblem, simplex_solve
+
+LIMIT_GOLDEN = {1: F(1, 2), 2: F(1, 2), 4: F(1, 4), 6: F(1, 7),
+                8: F(5, 66), 10: F(12, 283), 12: F(26, 1119)}
+
+# (d, n, parity, corner) -> certified optimum of the full3 programme
+FULL3_GOLDEN = {
+    (4, 8, "none", "derived"): F(353583877373, 27287445045248),
+    (5, 8, "none", "derived"): F(1367088245599, 82274737024000),
+    (8, 8, "none", "derived"): F(5216127907829977, 224295540141457408),
+    (6, 8, "even", "derived"): F(77912758884985, 4023802263280896),
+    (5, 7, "none", "alt"): F(9461123401, 344525363200),
+    (3, 8, "none", "derived"): F(1, 2 ** 8),
+    (3, 2, "none", "derived"): F(1, 4),
+    (4, 4, "none", "derived"): F(161621, 1578496),
+    (4, 3, "none", "derived"): F(571, 3392),
+    (6, 2, "none", "derived"): F(335, 972),
+    (4, 1, "none", "derived"): F(1, 2),
+}
+
+# Beale's example: cycles under most-negative pricing with a naive tie-break.
+BEALE = LPProblem(objective=[F(3, 4), -20, F(1, 2), -6],
+                  a_ub=[[F(1, 4), -8, -1, 9], [F(1, 2), -12, F(-1, 2), 3],
+                        [0, 0, 1, 0]],
+                  b_ub=[0, 0, 1])
+
+
+def solve_with_guess(lp, guess=None):
+    """Solve with the float guess replaced by ``guess`` (a list or an
+    exception instance; None keeps the real guess), counting exact pivots."""
+    def fake(*args):
+        if isinstance(guess, Exception):
+            raise guess
+        return guess
+
+    pivots = [0]
+    original = simplex._Tableau.pivot
+
+    def counting(tab, r, j):
+        pivots[0] += 1
+        original(tab, r, j)
+
+    with mock.patch.object(simplex._Tableau, "pivot", counting):
+        if guess is None:
+            return simplex_solve(lp), pivots[0]
+        with mock.patch.object(simplex, "_float_basis", fake):
+            return simplex_solve(lp), pivots[0]
+
+
+def unguided(lp):
+    return solve_with_guess(lp, [])[0]
+
+
+def assert_same(guided, plain):
+    assert guided.status == plain.status
+    assert guided.value == plain.value
+    if guided.status == "optimal":
+        assert guided.dual_value == guided.value
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_limit_programme_guided_equals_unguided(n):
+    lp = build_purity_bound(n).to_lp()
+    guided = simplex_solve(lp)
+    assert_same(guided, unguided(lp))
+    if n in LIMIT_GOLDEN:
+        assert guided.value == LIMIT_GOLDEN[n]
+
+
+@pytest.mark.parametrize("key", sorted(FULL3_GOLDEN))
+def test_full3_guided_equals_unguided(key):
+    d, n, parity, corner = key
+    lp = build_purity_bound(n, d, parity, "full3", corner).to_lp()
+    guided, guided_pivots = solve_with_guess(lp)
+    plain, plain_pivots = solve_with_guess(lp, [])
+    assert_same(guided, plain)
+    assert guided.value == FULL3_GOLDEN[key]
+    if n >= 7:      # the guess is in use: degenerate pivoting is cut
+        assert guided_pivots * 5 < plain_pivots
+
+
+def test_reduced_dual_guided_equals_unguided():
+    lp = build_dual(24)
+    assert_same(simplex_solve(lp), unguided(lp))
+
+
+@pytest.mark.parametrize("guess", [
+    OverflowError("int too large to convert to float"),
+    FloatingPointError("invalid value encountered"),
+    ValueError("attempt to get argmin of an empty sequence"),
+    [-1, -7, 10 ** 9, 2.5, "x", None, 0, 0, 3],
+    list(range(500)),
+    [0],
+])
+def test_failed_or_garbage_guess_still_certifies(guess):
+    lp = build_purity_bound(4, 4, form="full3").to_lp()
+    sol, _ = solve_with_guess(lp, guess)
+    assert sol.status == "optimal"
+    assert sol.value == FULL3_GOLDEN[(4, 4, "none", "derived")]
+    assert simplex._certify(lp, sol.x, sol.y_ub, sol.y_eq) == sol.value
+    lp = build_purity_bound(8).to_lp()
+    assert solve_with_guess(lp, guess)[0].value == F(5, 66)
+
+
+def test_float_guess_reports_failure_as_empty_list(monkeypatch):
+    lp = build_purity_bound(4, 4, form="full3").to_lp()
+    monkeypatch.setattr(simplex, "FLOAT_PIVOT_FACTOR", 0)   # cap reached
+    seen = []
+    original = simplex._float_basis
+
+    def spy(*args):
+        seen.append(original(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(simplex, "_float_basis", spy)
+    assert simplex_solve(lp).value == FULL3_GOLDEN[(4, 4, "none", "derived")]
+    assert seen == [[]]
+
+
+def test_coefficients_beyond_float_range_solve_exactly():
+    big = 10 ** 400      # float(big) overflows inside the guess
+    sol = simplex_solve(LPProblem(objective=[1, 1], a_ub=[[big, 1]],
+                                  b_ub=[big]))
+    assert sol.value == big and sol.x == [0, big]
+
+
+def test_float_guess_on_a_tiny_lp():
+    # max x: x + s1 = 1 starts on slack s1, x - s2 = b on an artificial
+    rows, cost, start = [[1, 1, 0], [1, 0, -1]], [F(1), F(0), F(0)], [1, -1]
+    assert sorted(simplex._float_basis(rows, [1, 0], cost, start)) == [0, 2]
+    assert simplex._float_basis(rows, [1, 2], cost, start) == []  # infeasible
+
+
+@pytest.mark.parametrize("guess", [[], [0], [3, 2, 1, 0], [1, 3, 5, 6],
+                                   list(range(7))])
+def test_beale_terminates_under_any_preference(guess):
+    sol, _ = solve_with_guess(BEALE, guess)
+    assert sol.status == "optimal"
+    assert sol.value == F(5, 4)
+    assert sol.value == simplex_solve(BEALE).value
+
+
+small = st.integers(min_value=-3, max_value=3)
+
+
+@st.composite
+def small_lps(draw):
+    n = draw(st.integers(min_value=1, max_value=4))
+    m_ub = draw(st.integers(min_value=0, max_value=3))
+    m_eq = draw(st.integers(min_value=0, max_value=2))
+    row = st.lists(small, min_size=n, max_size=n)
+    return LPProblem(
+        objective=draw(row),
+        a_ub=draw(st.lists(row, min_size=m_ub, max_size=m_ub)),
+        b_ub=draw(st.lists(small, min_size=m_ub, max_size=m_ub)),
+        a_eq=draw(st.lists(row, min_size=m_eq, max_size=m_eq)),
+        b_eq=draw(st.lists(small, min_size=m_eq, max_size=m_eq)),
+        nonneg=draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+
+
+@given(small_lps(), st.lists(st.integers(min_value=-2, max_value=16),
+                             max_size=12))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_status_and_optimum_never_depend_on_the_preference(lp, guess):
+    plain = unguided(lp)
+    assert_same(simplex_solve(lp), plain)
+    assert_same(solve_with_guess(lp, guess)[0], plain)
