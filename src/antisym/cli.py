@@ -120,8 +120,12 @@ RENDERERS = {"text": render_text, "json": render_json, "csv": render_csv}
 def emit(payload: dict, args) -> None:
     text = RENDERERS[args.format](payload)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.out}: "
+                             f"{exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 

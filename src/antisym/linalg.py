@@ -1,9 +1,14 @@
 """Exact rational matrices with tensor-factor structure.
 
 Everything here is arbitrary-precision rational arithmetic (``fractions.Fraction``);
-no floating point ever enters these types.  Dense matrices are row-major; a
-separate sparse form exists for permutation-type operators on tensor-power
-spaces, where a dense representation would be almost entirely zeros.
+no floating point ever enters these types.
+
+``SparseRMatrix`` is the one form of operators on the full tensor-power
+space (C^d)^{x4}: permutation operators and their rational combinations,
+with at most 24 d^4 nonzeros among d^8 entries, and their partial traces
+and transposes.  Dense row-major ``RMatrix`` holds the small matrices:
+operators restricted to the pair subspace (m^2 x m^2), reduced two-factor
+states (d^2 x d^2) and the LP constraint data.
 """
 
 from __future__ import annotations
@@ -63,8 +68,7 @@ class RMatrix:
 
     ``factor_dims`` records how the row (and, for square operators, column)
     index space factors as a tensor product; it is required by the partial
-    trace and partial transpose and is propagated through products and
-    Kronecker products.
+    transpose and is propagated through products and Kronecker products.
     """
 
     __slots__ = ("rows", "cols", "entries", "factor_dims")
@@ -244,33 +248,6 @@ class RMatrix:
             raise ShapeError("operation requires factor_dims")
         return self.factor_dims
 
-    def partial_trace(self, keep: Iterable[int]) -> "RMatrix":
-        """Trace out all tensor factors not in ``keep`` (0-based indices)."""
-        dims = self._require_factors()
-        keep = sorted(set(keep))
-        if any(k < 0 or k >= len(dims) for k in keep):
-            raise ShapeError(f"factor indices {keep} out of range for {dims}")
-        drop = [k for k in range(len(dims)) if k not in keep]
-        kdims = tuple(dims[k] for k in keep)
-        nk = prod(kdims) if kdims else 1
-        out = [_ZERO] * (nk * nk)
-        n = self.rows
-        row_digits = [_digits(i, dims) for i in range(n)]
-        for r in range(n):
-            rd = row_digits[r]
-            base = r * n
-            for c in range(n):
-                a = self.entries[base + c]
-                if a == 0:
-                    continue
-                cd = row_digits[c]
-                if any(rd[k] != cd[k] for k in drop):
-                    continue
-                rr = _from_digits([rd[k] for k in keep], kdims) if kdims else 0
-                cc = _from_digits([cd[k] for k in keep], kdims) if kdims else 0
-                out[rr * nk + cc] += a
-        return RMatrix(nk, nk, out, kdims if kdims else (1,))
-
     def partial_transpose(self, flip: Iterable[int]) -> "RMatrix":
         """Transpose the factors in ``flip`` (0-based); an involution."""
         dims = self._require_factors()
@@ -300,7 +277,8 @@ class SparseRMatrix:
     """Square sparse matrix of rationals, stored as {(row, col): value}.
 
     Intended for permutation operators on tensor-power spaces and rational
-    combinations thereof.  Conversion to the dense form is explicit.
+    combinations thereof.  No zero is ever stored.  Conversion to the dense
+    form is explicit and meant for small results, such as a partial trace.
     """
 
     __slots__ = ("n", "data", "factor_dims")
@@ -358,10 +336,47 @@ class SparseRMatrix:
             m.entries[r * self.n + c] = v
         return m
 
-    def partial_transpose(self, flip: Iterable[int]) -> "SparseRMatrix":
+    def is_zero(self) -> bool:
+        return not self.data
+
+    def _require_factors(self) -> tuple[int, ...]:
         if self.factor_dims is None:
             raise ShapeError("operation requires factor_dims")
-        dims = self.factor_dims
+        return self.factor_dims
+
+    def partial_trace(self, keep: Iterable[int]) -> "SparseRMatrix":
+        """Trace out all tensor factors not in ``keep`` (0-based indices).
+
+        Only stored entries are visited: an entry contributes when its row
+        and column agree on every traced factor.
+        """
+        dims = self._require_factors()
+        keep = sorted(set(keep))
+        if any(k < 0 or k >= len(dims) for k in keep):
+            raise ShapeError(f"factor indices {keep} out of range for {dims}")
+        drop = [k for k in range(len(dims)) if k not in keep]
+        kdims = tuple(dims[k] for k in keep)
+        split: dict[int, tuple[tuple[int, ...], int]] = {}
+
+        def parts(index: int) -> tuple[tuple[int, ...], int]:
+            got = split.get(index)
+            if got is None:
+                digits = _digits(index, dims)
+                got = (tuple(digits[k] for k in drop),
+                       _from_digits([digits[k] for k in keep], kdims))
+                split[index] = got
+            return got
+
+        out: dict[tuple[int, int], Fraction] = {}
+        for (r, c), v in self.data.items():
+            rdrop, rr = parts(r)
+            cdrop, cc = parts(c)
+            if rdrop == cdrop:
+                out[(rr, cc)] = out.get((rr, cc), _ZERO) + v
+        return SparseRMatrix(prod(kdims), out, kdims or (1,))
+
+    def partial_transpose(self, flip: Iterable[int]) -> "SparseRMatrix":
+        dims = self._require_factors()
         flip = sorted(set(flip))
         out = SparseRMatrix(self.n, None, dims)
         for (r, c), v in self.data.items():

@@ -10,8 +10,11 @@ Two computation routes exist side by side and are cross-checked in tests:
 
 * symbolic traces via the cycle count of a permutation (the trace of a
   permutation operator on (C^d)^{x4} is d to the number of cycles), and
-* explicit exact matrices, restricted to the pair subspace
-  wedge2 x wedge2, where all operators of interest are supported.  The
+* explicit exact matrices.  Full-space operators are ``SparseRMatrix``
+  (a group-algebra element has at most 24 d^4 nonzeros); the reduced
+  two-factor states are their sparse partial traces.  Products and
+  idempotence are checked on the pair subspace wedge2 x wedge2, where all
+  operators of interest are supported, as dense m^2 x m^2 matrices.  The
   restriction is an algebra isomorphism onto that subspace, so products,
   idempotence and traces proven there hold for the full-space operators.
 """
@@ -161,11 +164,17 @@ class GroupAlgebraElement:
                     for p, c in self.coeffs.items()), Fraction(0))
 
     def to_operator(self, d: int) -> SparseRMatrix:
-        out = SparseRMatrix(d ** 4, None, (d, d, d, d))
+        """Sparse operator on (C^d)^{x4}.  Entries are summed as integers
+        over the common denominator, then reduced once per nonzero."""
+        den = math.lcm(*(c.denominator for c in self.coeffs.values()))
+        sums: dict[tuple[int, int], int] = {}
         for p, c in self.coeffs.items():
-            for (r, s), v in _perm_entries(p.images, d).items():
-                out.add_entry(r, s, c * v)
-        return out
+            w = c.numerator * (den // c.denominator)
+            for key in _perm_pairs(p.images, d):
+                sums[key] = sums.get(key, 0) + w
+        return SparseRMatrix(d ** 4, {k: Fraction(v, den)
+                                      for k, v in sums.items() if v},
+                             (d, d, d, d))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, GroupAlgebraElement)
@@ -176,26 +185,27 @@ class GroupAlgebraElement:
 
 
 @lru_cache(maxsize=None)
-def _perm_entries(images: tuple[int, int, int, int], d: int
-                  ) -> dict[tuple[int, int], Fraction]:
-    """{(row, col): 1} for the operator sending slot k's content to slot images[k]."""
-    one = Fraction(1)
-    entries = {}
+def _perm_pairs(images: tuple[int, int, int, int], d: int
+                ) -> tuple[tuple[int, int], ...]:
+    """The (row, col) positions of the ones of the operator sending slot k's
+    content to slot images[k]."""
+    pairs = []
     for src in product(range(d), repeat=4):
         dst = [0] * 4
         for k in range(4):
             dst[images[k] - 1] = src[k]
         r = ((dst[0] * d + dst[1]) * d + dst[2]) * d + dst[3]
         c = ((src[0] * d + src[1]) * d + src[2]) * d + src[3]
-        entries[(r, c)] = one
-    return entries
+        pairs.append((r, c))
+    return tuple(pairs)
 
 
 def perm_operator(perm: Perm4, d: int) -> SparseRMatrix:
     """Sparse operator permuting the tensor factors of (C^d)^{x4} by ``perm``."""
     if d < 2:
         raise ValueError("d must be at least 2")
-    return SparseRMatrix(d ** 4, dict(_perm_entries(perm.images, d)),
+    one = Fraction(1)
+    return SparseRMatrix(d ** 4, dict.fromkeys(_perm_pairs(perm.images, d), one),
                          (d, d, d, d))
 
 
@@ -240,16 +250,16 @@ def pair_projector_element() -> GroupAlgebraElement:
     return ((e - _t(1, 2)) * (e - _t(3, 4))).scale(Fraction(1, 4))
 
 
-def young_projector(shape: Partition, d: int) -> RMatrix:
-    """Dense exact matrix of the Young projector on (C^d)^{x4}."""
+def young_projector(shape: Partition, d: int) -> SparseRMatrix:
+    """Sparse exact operator of the Young projector on (C^d)^{x4}."""
     if d < 3:
         raise ValueError("d must be at least 3")
     if shape not in YOUNG_SHAPES:
         raise ValueError(f"shape must be one of {YOUNG_SHAPES}")
-    return young_projector_element(shape).to_operator(d).to_dense()
+    return young_projector_element(shape).to_operator(d)
 
 
-def young_state(shape: Partition, d: int) -> RMatrix:
+def young_state(shape: Partition, d: int) -> SparseRMatrix:
     """Normalised Young projector (trace one)."""
     if d < 3:
         raise ValueError("d must be at least 3")
@@ -334,14 +344,13 @@ class PairBasis:
             out.entries[u * m * m + w] += quarter * pr[1] * qr[1] * pc[1] * qc[1] * v
         return out
 
-    def unrestrict(self, small: RMatrix) -> RMatrix:
+    def unrestrict(self, small: RMatrix) -> SparseRMatrix:
         """Inverse of ``restrict``: embed back into the full (C^d)^{x4} space."""
         m = self.m
         if small.rows != m * m or small.cols != m * m:
             raise ShapeError("matrix does not live on the pair subspace")
         d = self.d
-        n = d ** 4
-        out = RMatrix.zeros(n, n, (d, d, d, d))
+        out = SparseRMatrix(d ** 4, None, (d, d, d, d))
         quarter = Fraction(1, 4)
 
         def components(pq: int):
@@ -362,7 +371,7 @@ class PairBasis:
                 val = quarter * val
                 for bigc, sc in components(v):
                     for bigr, sr in row_parts:
-                        out.entries[bigr * n + bigc] += val * sr * sc
+                        out.add_entry(bigr, bigc, val * sr * sc)
         return out
 
     # compressed building blocks ------------------------------------------
@@ -370,9 +379,6 @@ class PairBasis:
     def identity(self) -> RMatrix:
         m = self.m
         return RMatrix.identity(m * m, (m, m))
-
-    def restricted_perm(self, perm: Perm4) -> RMatrix:
-        return self.restrict(perm_operator(perm, self.d))
 
     def restricted_element(self, elem: GroupAlgebraElement) -> RMatrix:
         return self.restrict(elem.to_operator(self.d))
@@ -409,9 +415,10 @@ class PairBasis:
 # -- the three invariant projectors across the AB:A'B' cut --------------------
 
 class InvariantProjectors(NamedTuple):
-    bell: RMatrix      # rank one: maximally entangled state of the pair spaces
-    adjoint: RMatrix   # dimension d^2 - 1
-    tail: RMatrix      # dimension (d(d-1)/2)^2 - d^2
+    # RMatrix on the pair subspace, SparseRMatrix on the full space
+    bell: RMatrix | SparseRMatrix     # rank one: maximally entangled pair spaces
+    adjoint: RMatrix | SparseRMatrix  # dimension d^2 - 1
+    tail: RMatrix | SparseRMatrix     # dimension (d(d-1)/2)^2 - d^2
 
 
 def invariant_projectors(d: int, restricted: bool = False) -> InvariantProjectors:
@@ -424,8 +431,8 @@ def invariant_projectors(d: int, restricted: bool = False) -> InvariantProjector
         tail    = P - bell - adjoint
 
     Traces are 1, d^2 - 1 and (d(d-1)/2)^2 - d^2.  ``restricted`` returns the
-    pair-subspace matrices (m^2 x m^2 with m = d(d-1)/2) instead of the full
-    d^4-dimensional ones.
+    dense pair-subspace matrices (m^2 x m^2 with m = d(d-1)/2) instead of
+    the sparse full d^4-dimensional operators.
     """
     if d < 3:
         raise ValueError("d must be at least 3 (the tail component is "
@@ -455,7 +462,7 @@ def flip_overlaps(d: int, method: str = "symbolic") -> dict[Partition, Fraction]
 
     Equals (-1, 1/2, 0) for the three shapes, independently of d.  The
     symbolic method contracts permutations by cycle counting; the matrix
-    method materialises the state, takes the exact partial trace and pairs
+    method builds the sparse state, takes the exact partial trace and pairs
     with the flip operator.
     """
     out = {}
@@ -464,8 +471,7 @@ def flip_overlaps(d: int, method: str = "symbolic") -> dict[Partition, Fraction]
             elem = young_state_element(shape, d)
             out[shape] = elem.trace_with(_FLIP_AA, d)
         elif method == "matrix":
-            rho = young_state(shape, d)
-            reduced = rho.partial_trace((0, 2))
+            reduced = reduced_pair_state(shape, d)
             out[shape] = reduced.trace_product(_flip_matrix(d))
         else:
             raise ValueError(f"unknown method {method!r}")
@@ -481,8 +487,7 @@ def pair_flip_signs(d: int, method: str = "symbolic") -> dict[Partition, Fractio
             out[shape] = young_state_element(shape, d).trace_with(_FLIP_BOTH, d)
         elif method == "matrix":
             rho = young_state(shape, d)
-            flip = perm_operator(_FLIP_BOTH, d).to_dense()
-            out[shape] = rho.trace_product(flip)
+            out[shape] = (rho @ perm_operator(_FLIP_BOTH, d)).trace()
         else:
             raise ValueError(f"unknown method {method!r}")
     return out
@@ -497,8 +502,8 @@ def _flip_matrix(d: int) -> RMatrix:
 
 
 def reduced_pair_state(shape: Partition, d: int) -> RMatrix:
-    """Exact reduction tr_{BB'} rho_y, a Werner state on A x A'."""
-    return young_state(shape, d).partial_trace((0, 2))
+    """Exact reduction tr_{BB'} rho_y, a Werner state on A x A' (d^2 x d^2)."""
+    return young_state(shape, d).partial_trace((0, 2)).to_dense()
 
 
 def werner_mixture(p: Fraction, d: int) -> RMatrix:

@@ -159,6 +159,16 @@ def test_out_file(tmp_path, capsys):
     assert payload["command"] == "squashed"
 
 
+def test_out_file_that_cannot_be_written(tmp_path, capsys):
+    for target in (tmp_path / "missing" / "x", tmp_path):
+        code, out, err = run(capsys, "squashed", "--d", "3",
+                             "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot write {target}")
+        assert len(err.strip().splitlines()) == 1
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["lp", "primal"])   # missing required --n

@@ -1,6 +1,8 @@
 """Exact matrix layer: shapes, tensor ops, trace identities."""
 
 from fractions import Fraction as F
+from itertools import product
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -49,20 +51,95 @@ def test_tensor_associative():
     assert a.tensor(b).tensor(c).factor_dims == (2, 2, 1)
 
 
+def sparse(m: RMatrix) -> SparseRMatrix:
+    return SparseRMatrix(m.rows, {(i, j): m[i, j] for i in range(m.rows)
+                                  for j in range(m.cols)}, m.factor_dims)
+
+
 def test_partial_trace_product_state():
     x = square([[1, 2], [3, 4]], (2,))
     y = square([[5, 0], [1, 7]], (2,))
-    xy = x.tensor(y)
-    assert xy.partial_trace({0}) == x.scale(y.trace())
-    assert xy.partial_trace({1}) == y.scale(x.trace())
-    full = xy.partial_trace(set())
+    xy = sparse(x.tensor(y))
+    assert xy.partial_trace({0}).to_dense() == x.scale(y.trace())
+    assert xy.partial_trace({1}).to_dense() == y.scale(x.trace())
+    full = xy.partial_trace(set()).to_dense()
     assert full.rows == 1 and full.entries[0] == xy.trace()
 
 
 def test_partial_trace_requires_factors():
-    m = RMatrix.identity(4)
+    m = sparse(RMatrix.identity(4))
     with pytest.raises(ShapeError):
         m.partial_trace({0})
+    with pytest.raises(ShapeError):
+        sparse(RMatrix.identity(4, (2, 2))).partial_trace({2})
+
+
+def _brute_partial_trace(entries: dict, dims: tuple, keep: tuple) -> dict:
+    """(tr X)[i, j] = sum over t of X[(i, t), (j, t)], digit by digit."""
+    drop = [k for k in range(len(dims)) if k not in keep]
+    kdims = [dims[k] for k in keep]
+
+    def index(digits, fs):
+        out = 0
+        for x, f in zip(digits, fs):
+            out = out * f + x
+        return out
+
+    def merge(kept, traced):
+        digits = [0] * len(dims)
+        for k, x in zip(keep, kept):
+            digits[k] = x
+        for k, x in zip(drop, traced):
+            digits[k] = x
+        return index(digits, dims)
+
+    kspace = list(product(*(range(f) for f in kdims)))
+    tspace = list(product(*(range(dims[k]) for k in drop)))
+    out = {}
+    for i in kspace:
+        for j in kspace:
+            total = sum((entries.get((merge(i, t), merge(j, t)), F(0))
+                         for t in tspace), F(0))
+            if total:
+                out[(index(i, kdims), index(j, kdims))] = total
+    return out
+
+
+@st.composite
+def sparse_operators(draw):
+    dims = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+    n = math.prod(dims)
+    entries = draw(st.dictionaries(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+        fractions, max_size=2 * n))
+    return SparseRMatrix(n, entries, dims)
+
+
+@given(sparse_operators(), st.data())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_sparse_partial_trace_matches_digit_sum(op, data):
+    dims = op.factor_dims
+    keep = tuple(sorted(data.draw(st.sets(st.integers(0, len(dims) - 1)))))
+    got = op.partial_trace(keep)
+    assert got.data == _brute_partial_trace(op.data, dims, keep)
+    assert all(v != 0 for v in got.data.values())
+    assert got.factor_dims == (tuple(dims[k] for k in keep) or (1,))
+    assert got.trace() == op.trace()
+    assert op.partial_trace(()).n == 1
+    assert op.partial_trace(()).trace() == op.trace()
+    assert op.partial_trace(range(len(dims))) == op
+
+
+def test_sparse_partial_trace_of_factor_dims_232():
+    x = square([[1, 0], [F(1, 2), -1]], (2,))
+    y = square([[0, 2, 0], [0, 0, 0], [3, 0, F(-2, 3)]], (3,))
+    z = square([[4, 1], [1, 4]], (2,))
+    xyz = sparse(x.tensor(y).tensor(z))
+    assert xyz.factor_dims == (2, 3, 2)
+    assert xyz.partial_trace((1,)).to_dense() == y.scale(x.trace() * z.trace())
+    assert xyz.partial_trace((0, 2)).to_dense() == \
+        x.tensor(z).scale(y.trace())
+    assert xyz.partial_trace((2, 0)) == xyz.partial_trace((0, 2))
 
 
 def test_partial_transpose_product_and_involution():
@@ -160,3 +237,5 @@ def test_sparse_round_trip_and_product():
     assert prod.to_dense() == dense @ other.to_dense()
     assert (sp + sp).to_dense() == dense.scale(2)
     assert sp.scale(0).to_dense().is_zero()
+    assert sp.scale(0).is_zero() and not sp.is_zero()
+    assert (sp + sp.scale(-1)).is_zero()

@@ -3,9 +3,13 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from antisym.linalg import RMatrix
-from antisym.projectors import (DINF, PairBasis, Perm4, YOUNG_SHAPES,
+from antisym import cli
+from antisym.linalg import RMatrix, SparseRMatrix
+from antisym.projectors import (DINF, S4, GroupAlgebraElement, PairBasis,
+                                Perm4, YOUNG_SHAPES,
                                 flip_overlaps, invariant_projectors,
                                 limit_constraint_matrix, overlap_closed_forms,
                                 pair_flip_signs, pair_projector_element,
@@ -115,6 +119,70 @@ def test_young_state_normalisation_and_errors():
         young_state(B4, 3)
 
 
+def _reference_operator(elem: GroupAlgebraElement, d: int) -> SparseRMatrix:
+    """sum_p c_p U_p, one permutation operator at a time."""
+    out = SparseRMatrix(d ** 4, None, (d, d, d, d))
+    for p, c in elem.coeffs.items():
+        out = out + perm_operator(p, d).scale(c)
+    return out
+
+
+group_elements = st.dictionaries(
+    st.sampled_from(S4),
+    st.fractions(min_value=-3, max_value=3, max_denominator=12),
+    max_size=8).map(GroupAlgebraElement)
+
+
+@given(group_elements, st.fractions(min_value=-2, max_value=2,
+                                    max_denominator=5),
+       st.sampled_from((2, 3)))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_to_operator_matches_term_by_term_sum(elem, a, d):
+    op = elem.to_operator(d)
+    assert op == _reference_operator(elem, d)
+    assert op.factor_dims == (d, d, d, d)
+    assert all(v != 0 for v in op.data.values())
+    # the antisymmetriser of four factors vanishes for d < 4, so adding any
+    # multiple of it cancels entry by entry and leaves the operator unchanged
+    shifted = (elem + young_projector_element(B4).scale(a)).to_operator(d)
+    assert shifted == op
+    assert all(v != 0 for v in shifted.data.values())
+
+
+def test_to_operator_of_cancelling_elements_stores_no_zero():
+    assert young_projector_element(B4).to_operator(3).data == {}
+    assert GroupAlgebraElement().to_operator(3).is_zero()
+    e = GroupAlgebraElement.unit()
+    t = GroupAlgebraElement.of(Perm4.from_cycles((1, 2)))
+    # (e - t)(e + t) = e - t^2 = 0 in the group algebra already
+    assert ((e - t) * (e + t)).to_operator(3).is_zero()
+
+
+def test_full_space_operators_are_sparse():
+    assert isinstance(young_projector(SQ, 3), SparseRMatrix)
+    assert isinstance(young_state(SQ, 3), SparseRMatrix)
+    basis = PairBasis(3)
+    small = basis.restricted_element(young_projector_element(SQ))
+    assert isinstance(basis.unrestrict(small), SparseRMatrix)
+    assert all(isinstance(x, SparseRMatrix) for x in invariant_projectors(3))
+
+
+def test_full_verification_builds_no_dense_full_space_matrix(monkeypatch):
+    d = 5
+    m = d * (d - 1) // 2
+    largest = []
+    init = RMatrix.__init__
+
+    def spy(self, rows, cols, *args, **kwargs):
+        largest.append(max(rows, cols))
+        init(self, rows, cols, *args, **kwargs)
+
+    monkeypatch.setattr(RMatrix, "__init__", spy)
+    for name, check in cli._verification_checks(d, "full"):
+        assert check(), name
+    assert largest and max(largest) <= m * m
+
+
 def test_restriction_is_multiplicative():
     d = 3
     basis = PairBasis(d)
@@ -156,12 +224,12 @@ def test_flip_overlaps_are_dimension_free():
 
 
 def test_flip_overlaps_matrix_route():
-    for d in (3, 4):
+    for d in (3, 4, 5):
         assert flip_overlaps(d, "matrix") == flip_overlaps(d, "symbolic")
 
 
 def test_reduced_states_are_werner_mixtures():
-    for d in (3, 4):
+    for d in (3, 4, 5):
         weights = {B4: F(1), SQ: F(1, 4), TAIL: F(1, 2)}
         for s in present_shapes(d):
             assert reduced_pair_state(s, d) == werner_mixture(weights[s], d)
