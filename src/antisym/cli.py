@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import json
 import math
@@ -128,6 +129,23 @@ def emit(payload: dict, args) -> None:
                              f"{exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
+
+
+def _check_writable(path: str) -> None:
+    """Fail fast, before any work and without creating the file, when
+    ``path`` cannot be written: its directory is missing or read-only, or
+    the path is a directory or a read-only file."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOENT
+    elif not os.access(parent, os.W_OK) or (os.path.exists(path)
+                                            and not os.access(path, os.W_OK)):
+        code = errno.EACCES
+    else:
+        return
+    raise UsageError(f"cannot write {path}: {os.strerror(code)}")
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -502,6 +520,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.out:
+            _check_writable(args.out)
         return args.func(args)
     except ValueError as exc:
         # UsageError and domain errors raised by the library

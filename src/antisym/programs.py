@@ -6,6 +6,9 @@ alphabet; objective weights and PPT constraint rows are tensor powers of the
 single-copy data.  Everything is invariant under permuting the copies, so the
 programme is reduced to one variable per occurrence-count type (aggregated
 mass), shrinking 3^n variables to C(n+2,2) and likewise for constraints.
+``single_copy`` gives the single-copy data that the reduced and the unreduced
+(reference) programme are both built from; ``SymLP.to_lp`` assembles the
+reduced rows in integers, degree by degree, with one Fraction per nonzero entry.
 
 Two forms exist:
 
@@ -24,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import comb, factorial, prod
+from math import comb, factorial, lcm, prod
 from typing import Iterator, NamedTuple
 
 from .projectors import DINF, constraint_columns
@@ -80,62 +83,72 @@ class SymLP:
                 out *= w ** c
         return out
 
-    def _row_polynomial(self, row_type: tuple[int, ...]) -> dict[tuple[int, ...], Fraction]:
-        """Sum over strings y of type t of prod_i rows[w_i][y_i], as a
-        polynomial over variable types, for any constraint string w of
-        ``row_type``."""
-        s = len(self.symbols)
-        poly: dict[tuple[int, ...], Fraction] = {(0,) * s: Fraction(1)}
-        for r, count in enumerate(row_type):
-            line = self.rows[r]
-            for _ in range(count):
-                nxt: dict[tuple[int, ...], Fraction] = {}
-                for t, coeff in poly.items():
-                    for y in range(s):
-                        if line[y] == 0:
-                            continue
-                        key = t[:y] + (t[y] + 1,) + t[y + 1:]
-                        nxt[key] = nxt.get(key, Fraction(0)) + coeff * line[y]
-                poly = nxt
-        return poly
-
     def to_lp(self) -> LPProblem:
-        index = {t: i for i, t in enumerate(self.types)}
-        nv = len(self.types)
-        c = [self.objective_coeff(t) for t in self.types]
-        a_ub: list[list[Fraction]] = []
-        b_ub: list[Fraction] = []
+        """Assemble the programme in one pass over all row types.
+
+        Row r is scaled once to integers by the lcm D_r of its denominators.
+        The integer polynomial of row type k (the sum over strings y of type t
+        of prod_i rows[w_i][y_i], for a string w of type k) is the polynomial
+        of k - e_r times integer row r, where r is the last nonzero count of
+        k, so degree j is built from degree j - 1 alone.  A variable type t
+        is keyed as sum_y t_y (n+1)^y.  Each nonzero entry is one Fraction:
+        the constraint acts on per-string values p_t = q_t / multinomial(t).
+        """
+        shifts = [(self.n + 1) ** y for y in range(len(self.symbols))]
+        scales = [lcm(*(v.denominator for v in row)) for row in self.rows]
+        lines = [[(shift, v.numerator * (scale // v.denominator))
+                  for shift, v in zip(shifts, row) if v]
+                 for scale, row in zip(scales, self.rows)]
+        level = {(0,) * len(self.rows): {0: 1}}
+        for _ in range(self.n):
+            nxt = {}
+            for k, poly in level.items():
+                last = max((r for r, c in enumerate(k) if c), default=0)
+                for r in range(last, len(self.rows)):
+                    out: dict[int, int] = {}
+                    for key, coeff in poly.items():
+                        for shift, v in lines[r]:
+                            out[key + shift] = out.get(key + shift, 0) + coeff * v
+                    nxt[k[:r] + (k[r] + 1,) + k[r + 1:]] = out
+            level = nxt
+        index = {sum(c * shift for c, shift in zip(t, shifts)): i
+                 for i, t in enumerate(self.types)}
+        mult = [multinomial(t) for t in self.types]
+        zero = Fraction(0)
+        a_ub = []
         for rt in self.row_types:
-            poly = self._row_polynomial(rt)
-            row = [Fraction(0)] * nv
-            for t, coeff in poly.items():
-                i = index.get(t)
-                if i is not None:
-                    # constraint acts on per-string values p_t = q_t / mult(t)
-                    row[i] = -coeff / multinomial(t)
+            scale = prod(s ** c for s, c in zip(scales, rt))
+            row = [zero] * len(self.types)
+            for key, coeff in level[rt].items():
+                i = index.get(key)
+                if i is not None and coeff:
+                    row[i] = Fraction(-coeff, scale * mult[i])
             a_ub.append(row)
-            b_ub.append(Fraction(0))
-        ones = [Fraction(1)] * nv
-        if self.normalization == "eq":
-            return LPProblem(objective=c, a_ub=a_ub, b_ub=b_ub,
-                             a_eq=[ones], b_eq=[Fraction(1)])
-        a_ub.append(ones)
-        b_ub.append(Fraction(1))
-        return LPProblem(objective=c, a_ub=a_ub, b_ub=b_ub)
+        c = [self.objective_coeff(t) for t in self.types]
+        return _normalized_lp(c, a_ub, self.normalization)
 
 
-def build_purity_bound(n: int, d=DINF, parity: str = "none",
-                       form: str | None = None,
-                       corner: str = "derived") -> SymLP:
-    """Symmetry-reduced LP whose optimum bounds the n-copy maximum purity.
+def _normalized_lp(c: list[Fraction], a_ub: list[list[Fraction]],
+                   normalization: str) -> LPProblem:
+    """max c.x over the homogeneous rows a_ub.x <= 0 and the normalisation
+    sum x = 1 ("eq") or sum x <= 1 ("le")."""
+    b_ub = [Fraction(0)] * len(a_ub)
+    ones = [Fraction(1)] * len(c)
+    if normalization == "eq":
+        return LPProblem(objective=c, a_ub=a_ub, b_ub=b_ub,
+                         a_eq=[ones], b_eq=[Fraction(1)])
+    return LPProblem(objective=c, a_ub=a_ub + [ones],
+                     b_ub=b_ub + [Fraction(1)])
 
-    ``d`` is an integer >= 3 or ``math.inf``; ``form`` defaults to
-    ``truncated2`` in the limit and ``full3`` at finite dimension.
+
+def single_copy(d=DINF, form: str | None = None,
+                corner: str = "derived") -> tuple:
+    """Single-copy data (symbols, weights, rows, normalisation) of the
+    programme at dimension ``d``, an integer >= 3 or ``math.inf``.
+
+    ``form`` defaults to ``truncated2`` in the limit and ``full3`` at finite
+    dimension.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
-    if parity not in PARITIES:
-        raise ValueError(f"parity must be one of {PARITIES}")
     if form is None:
         form = "truncated2" if d == DINF else "full3"
     if form not in FORMS:
@@ -144,19 +157,30 @@ def build_purity_bound(n: int, d=DINF, parity: str = "none",
         if d != DINF:
             raise ValueError("the truncated form is only valid in the "
                              "d -> infinity limit")
-        if parity != "none":
-            raise ValueError("the parity restriction applies to the full form")
-        symbols = ((1, 1, 1, 1), (2, 2))
-        weights = tuple(OBJECTIVE_WEIGHTS[s] for s in symbols)
-        rows = TRUNCATED_ROWS
+        symbols, rows = ((1, 1, 1, 1), (2, 2)), TRUNCATED_ROWS
         normalization = "le"
     else:
         symbols, matrix = constraint_columns(d, corner)
-        weights = tuple(OBJECTIVE_WEIGHTS[s] for s in symbols)
         rows = tuple(tuple(matrix.row(i)) for i in range(3))
         normalization = "eq"
+    weights = tuple(OBJECTIVE_WEIGHTS[s] for s in symbols)
+    return symbols, weights, rows, normalization
+
+
+def build_purity_bound(n: int, d=DINF, parity: str = "none",
+                       form: str | None = None,
+                       corner: str = "derived") -> SymLP:
+    """Symmetry-reduced LP whose optimum bounds the n-copy maximum purity,
+    on the single-copy data of ``single_copy(d, form, corner)``."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    if parity not in PARITIES:
+        raise ValueError(f"parity must be one of {PARITIES}")
+    symbols, weights, rows, normalization = single_copy(d, form, corner)
     types = tuple(compositions(n, len(symbols)))
     if parity == "even":
+        if TAIL_SHAPE not in symbols:
+            raise ValueError("the parity restriction applies to the full form")
         tail = symbols.index(TAIL_SHAPE)
         types = tuple(t for t in types if t[tail] % 2 == 0)
     row_types = tuple(compositions(n, len(rows)))
@@ -312,34 +336,11 @@ def solve_dual(n: int) -> DualBound:
 def build_unreduced(n: int, d=DINF, form: str | None = None,
                     corner: str = "derived") -> LPProblem:
     """The same programme over all strings, without symmetry reduction."""
-    if form is None:
-        form = "truncated2" if d == DINF else "full3"
-    if form == "truncated2":
-        if d != DINF:
-            raise ValueError("the truncated form is only valid in the limit")
-        symbols = ((1, 1, 1, 1), (2, 2))
-        weights = tuple(OBJECTIVE_WEIGHTS[s] for s in symbols)
-        rows = TRUNCATED_ROWS
-        normalization = "le"
-    else:
-        symbols, matrix = constraint_columns(d, corner)
-        weights = tuple(OBJECTIVE_WEIGHTS[s] for s in symbols)
-        rows = tuple(tuple(matrix.row(i)) for i in range(3))
-        normalization = "eq"
+    symbols, weights, rows, normalization = single_copy(d, form, corner)
     s = len(symbols)
     strings = list(product(range(s), repeat=n))
     c = [prod((weights[y] for y in w), start=Fraction(1)) for w in strings]
-    a_ub = []
-    b_ub = []
-    for rpat in product(range(len(rows)), repeat=n):
-        row = [-prod((rows[r][y] for r, y in zip(rpat, w)), start=Fraction(1))
-               for w in strings]
-        a_ub.append(row)
-        b_ub.append(Fraction(0))
-    ones = [Fraction(1)] * len(strings)
-    if normalization == "eq":
-        return LPProblem(objective=c, a_ub=a_ub, b_ub=b_ub,
-                         a_eq=[ones], b_eq=[Fraction(1)])
-    a_ub.append(ones)
-    b_ub.append(Fraction(1))
-    return LPProblem(objective=c, a_ub=a_ub, b_ub=b_ub)
+    a_ub = [[-prod((rows[r][y] for r, y in zip(rpat, w)), start=Fraction(1))
+             for w in strings]
+            for rpat in product(range(len(rows)), repeat=n)]
+    return _normalized_lp(c, a_ub, normalization)

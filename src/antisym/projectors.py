@@ -616,31 +616,17 @@ def limit_constraint_matrix() -> RMatrix:
 
 
 def ppt_constraint_matrices(d, corner: str = "derived") -> ConstraintMatrices:
-    """Constraint matrices of the symmetry-reduced PPT programme.
+    """Constraint matrices of the symmetry-reduced PPT programme at d >= 4
+    (all three shapes present) or infinity.
 
-    Rows are indexed (bell, adjoint, tail), columns by the Young shapes
-    (1,1,1,1), (2,2), (2,1,1).  The raw matrix holds the overlap table; the
-    rescaled one multiplies the bell row by d(d-1)/2 and the adjoint row by d,
-    which keeps all entries finite and nonzero as d grows.  ``corner="alt"``
-    substitutes an alternative value 1 - (2d-3)/(d(d-1)(d-2)) for the
-    (tail, (2,1,1)) entry of the rescaled matrix; the overlap-derived value is
-    1 - 2/(d(d-1)(d-2)).  Both agree in the limit; the flag exists for
-    sensitivity checks.
+    The raw matrix holds the overlap table; the rescaled one is that of
+    ``constraint_columns``.
     """
-    if corner not in CORNER_VARIANTS:
-        raise ValueError(f"corner must be one of {CORNER_VARIANTS}")
-    if d == DINF:
-        return ConstraintMatrices(None, limit_constraint_matrix())
-    if not isinstance(d, int) or d < 4:
+    if d != DINF and (not isinstance(d, int) or d < 4):
         raise ValueError("d must be an integer >= 4 (all three shapes present) "
                          "or infinity")
-    table = overlap_closed_forms(d)
-    raw = RMatrix.from_rows(table.values)
-    scales = (Fraction(d * (d - 1), 2), Fraction(d), Fraction(1))
-    rescaled_rows = [[s * v for v in row] for s, row in zip(scales, table.values)]
-    if corner == "alt":
-        rescaled_rows[2][2] = 1 - Fraction(2 * d - 3, d * (d - 1) * (d - 2))
-    rescaled = RMatrix.from_rows(rescaled_rows)
+    _, rescaled = constraint_columns(d, corner)
+    raw = None if d == DINF else RMatrix.from_rows(overlap_closed_forms(d).values)
     return ConstraintMatrices(raw, rescaled)
 
 
@@ -648,8 +634,14 @@ def constraint_columns(d, corner: str = "derived"
                        ) -> tuple[tuple[Partition, ...], RMatrix]:
     """Rescaled constraint matrix restricted to the shapes present at d.
 
-    Handles d = 3, where the (1,1,1,1) component is zero-dimensional and its
-    column is dropped, and d = infinity (where the corner variants coincide).
+    Rows are indexed (bell, adjoint, tail), columns by the present Young
+    shapes among (1,1,1,1), (2,2), (2,1,1).  The overlap rows are multiplied
+    by (d(d-1)/2, d, 1), which keeps all entries finite and nonzero as d
+    grows.  ``corner="alt"`` substitutes an alternative value
+    1 - (2d-3)/(d(d-1)(d-2)) for the (tail, (2,1,1)) entry; the
+    overlap-derived value is 1 - 2/(d(d-1)(d-2)).  Both agree in the limit;
+    the flag exists for sensitivity checks.  At d = 3 the (1,1,1,1)
+    component is zero-dimensional and its column is dropped.
     """
     if corner not in CORNER_VARIANTS:
         raise ValueError(f"corner must be one of {CORNER_VARIANTS}")

@@ -12,7 +12,9 @@ method then prefers the guessed columns as entering columns, each at most
 once per phase, and falls back to Bland's anti-cycling rule, so it always
 terminates.  The guess only chooses entering columns: the exact ratio test
 keeps every basis exactly feasible, and a wrong or missing guess costs
-pivots, never correctness.
+pivots, never correctness.  A float solve that finds no optimum (typically
+degenerate cycling up to its pivot cap) is retried once on a slightly
+perturbed right-hand side; the perturbation stays inside the float solve.
 
 The tableau keeps every row as a primitive integer vector (contents divided
 out after each pivot), which bounds entry growth by subdeterminant sizes
@@ -38,10 +40,12 @@ OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
-# The float guess: pivot tolerance on row- and column-scaled data, and its
-# pivot cap as a multiple of rows plus columns.
+# The float guess: pivot tolerance on row- and column-scaled data, its pivot
+# cap as a multiple of rows plus columns, and the largest right-hand-side
+# perturbation of its one retry.
 FLOAT_TOL = 1e-9
 FLOAT_PIVOT_FACTOR = 25
+FLOAT_PERTURBATION = 1e-9
 
 
 class SolverError(RuntimeError):
@@ -309,14 +313,15 @@ def _float_basis(rows: list[list[int]], rhs: list[int], cost: list[Fraction],
     and slack columns, with nonnegative right-hand sides; ``cost`` holds the
     phase-two costs of those columns and ``basis`` the starting basis, -1 on
     the rows that start on an artificial.  Rows and columns are scaled to unit
-    maximum, which leaves the set of optimal bases unchanged.  Returns the
-    structural and slack columns of the final basis, or [] when the float
-    solve finds no optimum.
+    maximum, which leaves the set of optimal bases unchanged.  When the float
+    solve finds no optimum (most often a most-negative-rule cycle on
+    degenerate rows), it is retried once on a right-hand side perturbed by at
+    most ``FLOAT_PERTURBATION``, seeded, so the guess stays deterministic;
+    the perturbation never leaves the float solve.  Returns the structural
+    and slack columns of the final basis, or [] when neither attempt finds
+    an optimum.
     """
     m, num_cols = len(rows), len(cost)
-    arts = [i for i in range(m) if basis[i] < 0]
-    width = num_cols + len(arts)
-    cap = FLOAT_PIVOT_FACTOR * (m + width)
     a = np.array(rows, dtype=float).reshape(m, num_cols)
     b = np.array(rhs, dtype=float)
     c = np.array([float(v) for v in cost])
@@ -328,31 +333,45 @@ def _float_basis(rows: list[list[int]], rhs: list[int], cost: list[Fraction],
         a /= col_scale
         c /= col_scale
         c /= _max_abs(c)
+        guess = _float_solve(a, b, c, basis)
+        if not guess:
+            rng = np.random.default_rng(0)
+            guess = _float_solve(a, b + FLOAT_PERTURBATION * rng.random(m),
+                                 c, basis)
+    return guess
 
-        t = np.zeros((m + 1, width + 1))
-        t[:m, :num_cols] = a
-        t[:m, -1] = b
-        basis = list(basis)
-        for k, i in enumerate(arts):
-            t[i, num_cols + k] = 1.0
-            basis[i] = num_cols + k
 
-        def price(costs: np.ndarray) -> None:
-            t[m] = costs[basis] @ t[:m] - costs
+def _float_solve(a: np.ndarray, b: np.ndarray, c: np.ndarray,
+                 basis: list[int]) -> list[int]:
+    """Two-phase float simplex on the scaled data of ``_float_basis``."""
+    m, num_cols = a.shape
+    arts = [i for i in range(m) if basis[i] < 0]
+    width = num_cols + len(arts)
+    cap = FLOAT_PIVOT_FACTOR * (m + width)
+    t = np.zeros((m + 1, width + 1))
+    t[:m, :num_cols] = a
+    t[:m, -1] = b
+    basis = list(basis)
+    for k, i in enumerate(arts):
+        t[i, num_cols + k] = 1.0
+        basis[i] = num_cols + k
 
-        if arts:
-            price(np.r_[np.zeros(num_cols), -np.ones(len(arts)), 0.0])
-            if (not _float_run(t, basis, np.ones(width, bool), cap)
-                    or t[m, -1] < -FLOAT_TOL):
-                return []
-            for r in range(m):
-                if basis[r] >= num_cols:
-                    j = int(np.argmax(np.abs(t[r, :num_cols])))
-                    if abs(t[r, j]) > FLOAT_TOL:
-                        _float_pivot(t, r, j, basis)
-        price(np.r_[c, np.zeros(len(arts) + 1)])
-        if not _float_run(t, basis, np.arange(width) < num_cols, cap):
+    def price(costs: np.ndarray) -> None:
+        t[m] = costs[basis] @ t[:m] - costs
+
+    if arts:
+        price(np.r_[np.zeros(num_cols), -np.ones(len(arts)), 0.0])
+        if (not _float_run(t, basis, np.ones(width, bool), cap)
+                or t[m, -1] < -FLOAT_TOL):
             return []
+        for r in range(m):
+            if basis[r] >= num_cols:
+                j = int(np.argmax(np.abs(t[r, :num_cols])))
+                if abs(t[r, j]) > FLOAT_TOL:
+                    _float_pivot(t, r, j, basis)
+    price(np.r_[c, np.zeros(len(arts) + 1)])
+    if not _float_run(t, basis, np.arange(width) < num_cols, cap):
+        return []
     return [j for j in basis if j < num_cols]
 
 

@@ -169,6 +169,29 @@ def test_out_file_that_cannot_be_written(tmp_path, capsys):
         assert len(err.strip().splitlines()) == 1
 
 
+def test_unwritable_out_fails_before_the_command_runs(tmp_path, capsys,
+                                                      monkeypatch):
+    from antisym import cli
+
+    calls = []
+    monkeypatch.setattr(cli, "_verification_checks",
+                        lambda *args: calls.append(args) or iter(()))
+    target = tmp_path / "nonexistent" / "x"
+    code, out, err = run(capsys, "verify", "rep", "--d", "6", "--level",
+                         "full", "--out", str(target))
+    assert code == 2
+    assert out == "" and calls == []
+    assert err == f"error: cannot write {target}: No such file or directory\n"
+    assert not target.parent.exists()
+
+
+def test_out_file_is_not_created_by_a_failed_command(tmp_path, capsys):
+    target = tmp_path / "x"
+    code, _, _ = run(capsys, "squashed", "--d", "2", "--out", str(target))
+    assert code == 2
+    assert not target.exists()
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["lp", "primal"])   # missing required --n

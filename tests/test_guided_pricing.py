@@ -28,6 +28,8 @@ FULL3_GOLDEN = {
     (6, 2, "none", "derived"): F(335, 972),
     (4, 1, "none", "derived"): F(1, 2),
 }
+# full3 at d=4, n=12: the unperturbed float guess stalls on this programme
+FULL3_D4_N12 = F(2806065471666149417, 1820578100724254113792)
 
 # Beale's example: cycles under most-negative pricing with a naive tie-break.
 BEALE = LPProblem(objective=[F(3, 4), -20, F(1, 2), -6],
@@ -56,6 +58,18 @@ def solve_with_guess(lp, guess=None):
             return simplex_solve(lp), pivots[0]
         with mock.patch.object(simplex, "_float_basis", fake):
             return simplex_solve(lp), pivots[0]
+
+
+def spy_on(name):
+    """Patch ``simplex.<name>`` to record every return value."""
+    seen = []
+    original = getattr(simplex, name)
+
+    def spy(*args):
+        seen.append(original(*args))
+        return seen[-1]
+
+    return mock.patch.object(simplex, name, spy), seen
 
 
 def unguided(lp):
@@ -116,16 +130,47 @@ def test_failed_or_garbage_guess_still_certifies(guess):
 def test_float_guess_reports_failure_as_empty_list(monkeypatch):
     lp = build_purity_bound(4, 4, form="full3").to_lp()
     monkeypatch.setattr(simplex, "FLOAT_PIVOT_FACTOR", 0)   # cap reached
-    seen = []
-    original = simplex._float_basis
-
-    def spy(*args):
-        seen.append(original(*args))
-        return seen[-1]
-
-    monkeypatch.setattr(simplex, "_float_basis", spy)
-    assert simplex_solve(lp).value == FULL3_GOLDEN[(4, 4, "none", "derived")]
+    patch, seen = spy_on("_float_basis")
+    with patch:
+        assert simplex_solve(lp).value == FULL3_GOLDEN[(4, 4, "none",
+                                                        "derived")]
     assert seen == [[]]
+
+
+def test_stalled_guess_is_retried_on_a_perturbed_rhs():
+    # unperturbed, the float phase one cycles on degenerate rows up to its
+    # pivot cap; the perturbed retry finds the basis and cuts the exact
+    # pivots from thousands to a few hundred
+    lp = build_purity_bound(12, 4, form="full3").to_lp()
+    patch, attempts = spy_on("_float_solve")
+    with patch:
+        sol, pivots = solve_with_guess(lp)
+    assert sol.value == FULL3_D4_N12 == sol.dual_value
+    assert attempts[0] == [] and attempts[1]
+    assert pivots < 1000
+
+
+@pytest.mark.parametrize("lp, golden", [
+    (build_purity_bound(8, 5, form="full3").to_lp(),
+     FULL3_GOLDEN[(5, 8, "none", "derived")]),
+    (build_purity_bound(12).to_lp(), LIMIT_GOLDEN[12]),
+])
+def test_retry_after_a_failed_first_attempt_certifies(lp, golden):
+    # the first float run (phase one of the full3 programme, phase two of
+    # the limit programme, which starts feasible) is made to fail
+    original = simplex._float_run
+    runs = []
+
+    def fail_first(*args):
+        runs.append(args)
+        return len(runs) > 1 and original(*args)
+
+    patch, guesses = spy_on("_float_basis")
+    with patch, mock.patch.object(simplex, "_float_run", fail_first):
+        sol = simplex_solve(lp)
+    assert len(runs) > 1 and guesses[0]
+    assert sol.value == golden == sol.dual_value
+    assert simplex._certify(lp, sol.x, sol.y_ub, sol.y_eq) == golden
 
 
 def test_coefficients_beyond_float_range_solve_exactly():

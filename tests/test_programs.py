@@ -7,15 +7,127 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from antisym.programs import (DINF, analytic_dual_point,
+from antisym.programs import (DINF, SymLP, analytic_dual_point,
                               build_purity_bound, build_unreduced,
                               compositions, drop_first_row, dual_coeff,
-                              multinomial, solve_dual, solve_purity_bound,
-                              substitute_tail_masses, type_masses)
-from antisym.simplex import simplex_solve
+                              multinomial, single_copy, solve_dual,
+                              solve_purity_bound, substitute_tail_masses,
+                              type_masses)
+from antisym.simplex import LPProblem, simplex_solve
 
 GOLDEN = {1: F(1, 2), 2: F(1, 2), 4: F(1, 4), 6: F(1, 7),
           8: F(5, 66), 10: F(12, 283), 12: F(26, 1119)}
+
+# The (d, n, parity, corner) of every finite-d programme in the benchmark.
+BENCHMARK_FULL3 = [(4, 8, "none", "derived"), (5, 8, "none", "derived"),
+                   (8, 8, "none", "derived"), (6, 8, "even", "derived"),
+                   (5, 7, "none", "alt"), (3, 8, "none", "derived"),
+                   (3, 2, "none", "derived"), (4, 4, "none", "derived"),
+                   (4, 3, "none", "derived"), (6, 2, "none", "derived"),
+                   (4, 1, "none", "derived")]
+
+
+# -- reference assembly: every row type expanded term by term ------------------
+
+def reference_row_polynomial(prog, row_type):
+    """Sum over strings y of type t of prod_i rows[w_i][y_i], as a
+    polynomial over variable types, for any constraint string w of
+    ``row_type``."""
+    s = len(prog.symbols)
+    poly = {(0,) * s: F(1)}
+    for r, count in enumerate(row_type):
+        line = prog.rows[r]
+        for _ in range(count):
+            nxt = {}
+            for t, coeff in poly.items():
+                for y in range(s):
+                    if line[y] == 0:
+                        continue
+                    key = t[:y] + (t[y] + 1,) + t[y + 1:]
+                    nxt[key] = nxt.get(key, F(0)) + coeff * line[y]
+            poly = nxt
+    return poly
+
+
+def reference_to_lp(prog):
+    index = {t: i for i, t in enumerate(prog.types)}
+    nv = len(prog.types)
+    a_ub, b_ub = [], []
+    for rt in prog.row_types:
+        row = [F(0)] * nv
+        for t, coeff in reference_row_polynomial(prog, rt).items():
+            if t in index:
+                row[index[t]] = -coeff / multinomial(t)
+        a_ub.append(row)
+        b_ub.append(F(0))
+    c = [prog.objective_coeff(t) for t in prog.types]
+    ones = [F(1)] * nv
+    if prog.normalization == "eq":
+        return LPProblem(objective=c, a_ub=a_ub, b_ub=b_ub, a_eq=[ones],
+                         b_eq=[F(1)])
+    return LPProblem(objective=c, a_ub=a_ub + [ones], b_ub=b_ub + [F(1)])
+
+
+@pytest.mark.parametrize("key", BENCHMARK_FULL3)
+def test_assembly_matches_reference_on_the_benchmark(key):
+    d, n, parity, corner = key
+    prog = build_purity_bound(n, d, parity, "full3", corner)
+    assert prog.to_lp() == reference_to_lp(prog)
+    dropped = drop_first_row(prog)
+    assert dropped.to_lp() == reference_to_lp(dropped)
+
+
+@pytest.mark.parametrize("n", [1, 8, 10, 12, 24, 48])
+def test_assembly_matches_reference_on_the_limit(n):
+    prog = build_purity_bound(n)
+    assert prog.to_lp() == reference_to_lp(prog)
+    if n <= 12:
+        full = build_purity_bound(n, DINF, form="full3")
+        assert full.to_lp() == reference_to_lp(full)
+        dropped = drop_first_row(full)
+        assert dropped.to_lp() == reference_to_lp(dropped)
+
+
+entries = st.one_of(st.just(F(0)),
+                    st.fractions(min_value=-4, max_value=4,
+                                 max_denominator=12))
+
+
+@st.composite
+def symmetric_programmes(draw):
+    s = draw(st.integers(min_value=2, max_value=3))
+    num_rows = draw(st.integers(min_value=1, max_value=3))
+    n = draw(st.integers(min_value=1, max_value=5))
+    line = st.tuples(*[entries] * s)
+    types = tuple(compositions(n, s))
+    if draw(st.booleans()):           # parity filter on one symbol
+        y = draw(st.integers(min_value=0, max_value=s - 1))
+        types = tuple(t for t in types if t[y] % 2 == 0)
+    return SymLP(n=n, symbols=tuple(range(s)), weights=draw(line),
+                 rows=tuple(draw(line) for _ in range(num_rows)),
+                 normalization=draw(st.sampled_from(("eq", "le"))),
+                 types=types, row_types=tuple(compositions(n, num_rows)))
+
+
+@given(symmetric_programmes())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_assembly_matches_reference_on_random_data(prog):
+    assert prog.to_lp() == reference_to_lp(prog)
+
+
+def test_single_copy_data():
+    symbols, weights, rows, normalization = single_copy()
+    assert symbols == ((1, 1, 1, 1), (2, 2))
+    assert weights == (F(-1), F(1, 2))
+    assert rows == ((F(-2), F(1)), (F(1), F(1))) and normalization == "le"
+    symbols, weights, rows, normalization = single_copy(3)
+    assert symbols == ((2, 2), (2, 1, 1)) and normalization == "eq"
+    assert len(rows) == 3 and all(len(r) == 2 for r in rows)
+    assert single_copy(5, corner="alt")[2] != single_copy(5)[2]
+    with pytest.raises(ValueError):
+        single_copy(4, "truncated2")
+    with pytest.raises(ValueError):
+        single_copy(4, "bogus")
 
 
 def test_type_enumeration():
