@@ -10,7 +10,7 @@ the exact simplex and symmetry-reduced programmes (``simplex``,
 from .bounds import (BoundReport, continuity_bound, cost_lower_bound,
                      extension_cmi, purity_seesaw, relent_lower_bound,
                      relent_ppt_value, squashed_upper_bound)
-from .linalg import Rational, RMatrix, SparseRMatrix
+from .linalg import Rational, SparseRMatrix
 from .programs import (DINF, analytic_dual_point, build_dual,
                        build_purity_bound, dual_coeff, solve_dual,
                        solve_purity_bound)

@@ -160,8 +160,7 @@ def single_copy(d=DINF, form: str | None = None,
         symbols, rows = ((1, 1, 1, 1), (2, 2)), TRUNCATED_ROWS
         normalization = "le"
     else:
-        symbols, matrix = constraint_columns(d, corner)
-        rows = tuple(tuple(matrix.row(i)) for i in range(3))
+        symbols, rows = constraint_columns(d, corner)
         normalization = "eq"
     weights = tuple(OBJECTIVE_WEIGHTS[s] for s in symbols)
     return symbols, weights, rows, normalization

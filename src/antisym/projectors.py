@@ -10,13 +10,13 @@ Two computation routes exist side by side and are cross-checked in tests:
 
 * symbolic traces via the cycle count of a permutation (the trace of a
   permutation operator on (C^d)^{x4} is d to the number of cycles), and
-* explicit exact matrices.  Full-space operators are ``SparseRMatrix``
-  (a group-algebra element has at most 24 d^4 nonzeros); the reduced
-  two-factor states are their sparse partial traces.  Products and
-  idempotence are checked on the pair subspace wedge2 x wedge2, where all
-  operators of interest are supported, as dense m^2 x m^2 matrices.  The
-  restriction is an algebra isomorphism onto that subspace, so products,
-  idempotence and traces proven there hold for the full-space operators.
+* explicit exact matrices, all ``SparseRMatrix``.  Full-space operators
+  have at most 24 d^4 nonzeros (one group-algebra element); the reduced
+  two-factor states are their partial traces.  Products and idempotence are
+  checked on the pair subspace wedge2 x wedge2, where all operators of
+  interest are supported, as m^2 x m^2 matrices.  The restriction is an
+  algebra isomorphism onto that subspace, so products, idempotence and
+  traces proven there hold for the full-space operators.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from functools import lru_cache
 from itertools import combinations, permutations, product
 from typing import NamedTuple
 
-from .linalg import RMatrix, ShapeError, SparseRMatrix
+from .linalg import ShapeError, SparseRMatrix
 from .young import Partition, weyl_dimension
 
 YOUNG_SHAPES: tuple[Partition, ...] = ((1, 1, 1, 1), (2, 2), (2, 1, 1))
@@ -317,13 +317,12 @@ class PairBasis:
         a, b = divmod(big, d)
         return a, b, ap, bp
 
-    def restrict(self, op: SparseRMatrix) -> RMatrix:
+    def restrict(self, op: SparseRMatrix) -> SparseRMatrix:
         """Exact restriction of a 4-factor operator to the pair subspace."""
         if op.n != self.d ** 4:
             raise ShapeError("operator does not live on (C^d)^{x4}")
         m = self.m
-        out = RMatrix.zeros(m * m, m * m, (m, m))
-        quarter = Fraction(1, 4)
+        out: dict[tuple[int, int], Fraction] = {}
         for (r, c), v in op.data.items():
             a, b, ap, bp = self._decode(r)
             pr = self._project(a, b)
@@ -339,54 +338,26 @@ class PairBasis:
             qc = self._project(ap2, bp2)
             if qc is None:
                 continue
-            u = pr[0] * m + qr[0]
-            w = pc[0] * m + qc[0]
-            out.entries[u * m * m + w] += quarter * pr[1] * qr[1] * pc[1] * qc[1] * v
-        return out
-
-    def unrestrict(self, small: RMatrix) -> SparseRMatrix:
-        """Inverse of ``restrict``: embed back into the full (C^d)^{x4} space."""
-        m = self.m
-        if small.rows != m * m or small.cols != m * m:
-            raise ShapeError("matrix does not live on the pair subspace")
-        d = self.d
-        out = SparseRMatrix(d ** 4, None, (d, d, d, d))
+            key = (pr[0] * m + qr[0], pc[0] * m + qc[0])
+            sign = pr[1] * qr[1] * pc[1] * qc[1]
+            out[key] = out.get(key, 0) + (v if sign > 0 else -v)
         quarter = Fraction(1, 4)
-
-        def components(pq: int):
-            p, q = divmod(pq, m)
-            i, j = self.pairs[p]
-            k, l = self.pairs[q]
-            for (x, y, sx) in ((i, j, 1), (j, i, -1)):
-                for (z, w, sz) in ((k, l, 1), (l, k, -1)):
-                    yield ((x * d + y) * d + z) * d + w, sx * sz
-
-        for u in range(m * m):
-            row_parts = list(components(u))
-            base = u * m * m
-            for v in range(m * m):
-                val = small.entries[base + v]
-                if val == 0:
-                    continue
-                val = quarter * val
-                for bigc, sc in components(v):
-                    for bigr, sr in row_parts:
-                        out.add_entry(bigr, bigc, val * sr * sc)
-        return out
+        return SparseRMatrix(m * m, {k: quarter * v for k, v in out.items()},
+                             (m, m))
 
     # compressed building blocks ------------------------------------------
 
-    def identity(self) -> RMatrix:
+    def identity(self) -> SparseRMatrix:
         m = self.m
-        return RMatrix.identity(m * m, (m, m))
+        return SparseRMatrix.identity(m * m, (m, m))
 
-    def restricted_element(self, elem: GroupAlgebraElement) -> RMatrix:
+    def restricted_element(self, elem: GroupAlgebraElement) -> SparseRMatrix:
         return self.restrict(elem.to_operator(self.d))
 
-    def restricted_phi_phi(self) -> RMatrix:
+    def restricted_phi_phi(self) -> SparseRMatrix:
         """Restriction of Phi_{AA'} x Phi_{BB'} (maximally entangled pairs)."""
         d = self.d
-        sp = SparseRMatrix(d ** 4, None, (d, d, d, d))
+        data = {}
         w = Fraction(1, d * d)
         for i in range(d):
             for j in range(d):
@@ -394,13 +365,13 @@ class PairBasis:
                 for k in range(d):
                     for l in range(d):
                         c = ((k * d + l) * d + k) * d + l
-                        sp.add_entry(r, c, w)
-        return self.restrict(sp)
+                        data[r, c] = w
+        return self.restrict(SparseRMatrix(d ** 4, data, (d, d, d, d)))
 
-    def restricted_one_phi(self) -> RMatrix:
+    def restricted_one_phi(self) -> SparseRMatrix:
         """Restriction of 1_{AA'} x Phi_{BB'}."""
         d = self.d
-        sp = SparseRMatrix(d ** 4, None, (d, d, d, d))
+        data = {}
         w = Fraction(1, d)
         for a in range(d):
             for ap in range(d):
@@ -408,20 +379,20 @@ class PairBasis:
                     r = ((a * d + j) * d + ap) * d + j
                     for l in range(d):
                         c = ((a * d + l) * d + ap) * d + l
-                        sp.add_entry(r, c, w)
-        return self.restrict(sp)
+                        data[r, c] = w
+        return self.restrict(SparseRMatrix(d ** 4, data, (d, d, d, d)))
 
 
 # -- the three invariant projectors across the AB:A'B' cut --------------------
 
 class InvariantProjectors(NamedTuple):
-    # RMatrix on the pair subspace, SparseRMatrix on the full space
-    bell: RMatrix | SparseRMatrix     # rank one: maximally entangled pair spaces
-    adjoint: RMatrix | SparseRMatrix  # dimension d^2 - 1
-    tail: RMatrix | SparseRMatrix     # dimension (d(d-1)/2)^2 - d^2
+    # restricted to the pair subspace
+    bell: SparseRMatrix     # rank one: maximally entangled pair spaces
+    adjoint: SparseRMatrix  # dimension d^2 - 1
+    tail: SparseRMatrix     # dimension (d(d-1)/2)^2 - d^2
 
 
-def invariant_projectors(d: int, restricted: bool = False) -> InvariantProjectors:
+def invariant_projectors(d: int) -> InvariantProjectors:
     """The three orthogonal projectors spanning the commutant on the pair space.
 
     With P the pair projector, Phi maximally entangled:
@@ -430,9 +401,8 @@ def invariant_projectors(d: int, restricted: bool = False) -> InvariantProjector
         adjoint = (4d/(d-2)) P ((1 - Phi) x Phi) P
         tail    = P - bell - adjoint
 
-    Traces are 1, d^2 - 1 and (d(d-1)/2)^2 - d^2.  ``restricted`` returns the
-    dense pair-subspace matrices (m^2 x m^2 with m = d(d-1)/2) instead of
-    the sparse full d^4-dimensional operators.
+    Traces are 1, d^2 - 1 and (d(d-1)/2)^2 - d^2.  All three are returned
+    restricted to the pair subspace (m^2 x m^2 with m = d(d-1)/2).
     """
     if d < 3:
         raise ValueError("d must be at least 3 (the tail component is "
@@ -443,11 +413,7 @@ def invariant_projectors(d: int, restricted: bool = False) -> InvariantProjector
     bell = phi_phi.scale(Fraction(2 * d, d - 1))
     adjoint = (one_phi - phi_phi).scale(Fraction(4 * d, d - 2))
     tail = basis.identity() - bell - adjoint
-    if restricted:
-        return InvariantProjectors(bell, adjoint, tail)
-    return InvariantProjectors(basis.unrestrict(bell),
-                               basis.unrestrict(adjoint),
-                               basis.unrestrict(tail))
+    return InvariantProjectors(bell, adjoint, tail)
 
 
 # -- flip expectations and partial-transpose overlaps -------------------------
@@ -472,7 +438,7 @@ def flip_overlaps(d: int, method: str = "symbolic") -> dict[Partition, Fraction]
             out[shape] = elem.trace_with(_FLIP_AA, d)
         elif method == "matrix":
             reduced = reduced_pair_state(shape, d)
-            out[shape] = reduced.trace_product(_flip_matrix(d))
+            out[shape] = reduced.trace_product(flip_matrix(d))
         else:
             raise ValueError(f"unknown method {method!r}")
     return out
@@ -493,24 +459,23 @@ def pair_flip_signs(d: int, method: str = "symbolic") -> dict[Partition, Fractio
     return out
 
 
-def _flip_matrix(d: int) -> RMatrix:
-    out = RMatrix.zeros(d * d, d * d, (d, d))
-    for i in range(d):
-        for j in range(d):
-            out.entries[(j * d + i) * d * d + (i * d + j)] = Fraction(1)
-    return out
+def flip_matrix(d: int) -> SparseRMatrix:
+    """The swap operator F|ij> = |ji> on C^d x C^d."""
+    one = Fraction(1)
+    return SparseRMatrix(d * d, {(j * d + i, i * d + j): one
+                                 for i in range(d) for j in range(d)}, (d, d))
 
 
-def reduced_pair_state(shape: Partition, d: int) -> RMatrix:
+def reduced_pair_state(shape: Partition, d: int) -> SparseRMatrix:
     """Exact reduction tr_{BB'} rho_y, a Werner state on A x A' (d^2 x d^2)."""
-    return young_state(shape, d).partial_trace((0, 2)).to_dense()
+    return young_state(shape, d).partial_trace((0, 2))
 
 
-def werner_mixture(p: Fraction, d: int) -> RMatrix:
+def werner_mixture(p: Fraction, d: int) -> SparseRMatrix:
     """p * (antisymmetric state) + (1-p) * (symmetric state) on C^d x C^d."""
     p = Fraction(p)
-    flip = _flip_matrix(d)
-    ident = RMatrix.identity(d * d, (d, d))
+    flip = flip_matrix(d)
+    ident = SparseRMatrix.identity(d * d, (d, d))
     anti = (ident - flip).scale(Fraction(1, d * (d - 1)))
     sym = (ident + flip).scale(Fraction(1, d * (d + 1)))
     return anti.scale(p) + sym.scale(1 - p)
@@ -603,16 +568,20 @@ def ppt_overlap_table(d: int, method: str = "matrix") -> OverlapTable:
 
 # -- PPT constraint matrices ---------------------------------------------------
 
+Rows = tuple[tuple[Fraction, ...], ...]
+
+
 class ConstraintMatrices(NamedTuple):
-    raw: RMatrix | None     # overlap rows as-is (None in the limit)
-    rescaled: RMatrix       # rows scaled by (d(d-1)/2, d, 1); finite limit
+    raw: Rows | None    # overlap rows as-is (None in the limit)
+    rescaled: Rows      # rows scaled by (d(d-1)/2, d, 1); finite limit
 
 CORNER_VARIANTS = ("derived", "alt")
 
 
-def limit_constraint_matrix() -> RMatrix:
+def limit_constraint_matrix() -> Rows:
     """The d -> infinity limit of the rescaled constraint matrix."""
-    return RMatrix.from_rows([[1, 1, -1], [-2, 1, 0], [1, 1, 1]])
+    return tuple(tuple(Fraction(x) for x in row)
+                 for row in ((1, 1, -1), (-2, 1, 0), (1, 1, 1)))
 
 
 def ppt_constraint_matrices(d, corner: str = "derived") -> ConstraintMatrices:
@@ -626,12 +595,12 @@ def ppt_constraint_matrices(d, corner: str = "derived") -> ConstraintMatrices:
         raise ValueError("d must be an integer >= 4 (all three shapes present) "
                          "or infinity")
     _, rescaled = constraint_columns(d, corner)
-    raw = None if d == DINF else RMatrix.from_rows(overlap_closed_forms(d).values)
+    raw = None if d == DINF else overlap_closed_forms(d).values
     return ConstraintMatrices(raw, rescaled)
 
 
 def constraint_columns(d, corner: str = "derived"
-                       ) -> tuple[tuple[Partition, ...], RMatrix]:
+                       ) -> tuple[tuple[Partition, ...], Rows]:
     """Rescaled constraint matrix restricted to the shapes present at d.
 
     Rows are indexed (bell, adjoint, tail), columns by the present Young
@@ -655,4 +624,4 @@ def constraint_columns(d, corner: str = "derived"
     rows = [[s * v for v in row] for s, row in zip(scales, table.values)]
     if corner == "alt" and len(cols) == 3:
         rows[2][2] = 1 - Fraction(2 * d - 3, d * (d - 1) * (d - 2))
-    return cols, RMatrix.from_rows(rows)
+    return cols, tuple(tuple(row) for row in rows)

@@ -115,7 +115,7 @@ def test_criterion_6_exact_operator_verification():
         expected = {(1, 1, 1, 1): F(-1), (2, 2): F(1, 2), (2, 1, 1): F(0)}
         assert flips == {s: expected[s] for s in present_shapes(d)}
 
-        bell, adjoint, tail = invariant_projectors(d, restricted=True)
+        bell, adjoint, tail = invariant_projectors(d)
         assert bell @ bell == bell and adjoint @ adjoint == adjoint
         assert tail @ tail == tail
         assert (bell @ adjoint).is_zero() and (bell @ tail).is_zero()

@@ -8,29 +8,42 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from antisym.linalg import RMatrix, ShapeError, SparseRMatrix
+from antisym.linalg import ShapeError, SparseRMatrix
 
 fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 
 
 def square(entries, factor_dims=None):
-    return RMatrix.from_rows(entries, factor_dims)
+    return SparseRMatrix(len(entries), {(i, j): v
+                                        for i, row in enumerate(entries)
+                                        for j, v in enumerate(row)},
+                         factor_dims)
 
 
-def random_matrix(draw_entries, n):
-    return RMatrix(n, n, draw_entries)
+def flat(n, entries, factor_dims=None):
+    return square([entries[i * n:(i + 1) * n] for i in range(n)], factor_dims)
+
+
+def kron(a: SparseRMatrix, b: SparseRMatrix) -> SparseRMatrix:
+    """Kronecker product; factor dimension lists concatenate."""
+    dims = None
+    if a.factor_dims is not None and b.factor_dims is not None:
+        dims = a.factor_dims + b.factor_dims
+    return SparseRMatrix(a.n * b.n, {
+        (i * b.n + p, j * b.n + q): x * y
+        for (i, j), x in a.data.items() for (p, q), y in b.data.items()}, dims)
 
 
 def test_identity_tensor_identity():
-    out = RMatrix.identity(2, (2,)).tensor(RMatrix.identity(3, (3,)))
-    assert out == RMatrix.identity(6)
+    out = kron(SparseRMatrix.identity(2, (2,)), SparseRMatrix.identity(3, (3,)))
+    assert out == SparseRMatrix.identity(6)
     assert out.factor_dims == (2, 3)
 
 
 def test_tensor_square_of_constraint_block():
     # Kronecker square of [[1,1],[-2,1]]
     t = square([[1, 1], [-2, 1]])
-    tt = t.tensor(t)
+    tt = kron(t, t)
     assert tt == square([[1, 1, 1, 1],
                          [-2, 1, -2, 1],
                          [-2, -2, 1, 1],
@@ -38,40 +51,42 @@ def test_tensor_square_of_constraint_block():
 
 
 def test_tensor_scalar_case():
-    c = RMatrix(1, 1, [F(3, 7)], (1,))
+    c = square([[F(3, 7)]], (1,))
     m = square([[1, 2], [3, 4]], (2,))
-    assert c.tensor(m) == m.scale(F(3, 7))
+    assert kron(c, m) == m.scale(F(3, 7))
 
 
 def test_tensor_associative():
     a = square([[1, 2], [3, 4]], (2,))
     b = square([[0, 1], [-1, 2]], (2,))
     c = square([[5]], (1,))
-    assert a.tensor(b).tensor(c) == a.tensor(b.tensor(c))
-    assert a.tensor(b).tensor(c).factor_dims == (2, 2, 1)
-
-
-def sparse(m: RMatrix) -> SparseRMatrix:
-    return SparseRMatrix(m.rows, {(i, j): m[i, j] for i in range(m.rows)
-                                  for j in range(m.cols)}, m.factor_dims)
+    assert kron(kron(a, b), c) == kron(a, kron(b, c))
+    assert kron(kron(a, b), c).factor_dims == (2, 2, 1)
 
 
 def test_partial_trace_product_state():
     x = square([[1, 2], [3, 4]], (2,))
     y = square([[5, 0], [1, 7]], (2,))
-    xy = sparse(x.tensor(y))
-    assert xy.partial_trace({0}).to_dense() == x.scale(y.trace())
-    assert xy.partial_trace({1}).to_dense() == y.scale(x.trace())
-    full = xy.partial_trace(set()).to_dense()
-    assert full.rows == 1 and full.entries[0] == xy.trace()
+    xy = kron(x, y)
+    assert xy.partial_trace({0}) == x.scale(y.trace())
+    assert xy.partial_trace({1}) == y.scale(x.trace())
+    full = xy.partial_trace(set())
+    assert full.n == 1 and full.trace() == xy.trace()
 
 
 def test_partial_trace_requires_factors():
-    m = sparse(RMatrix.identity(4))
+    m = SparseRMatrix.identity(4)
     with pytest.raises(ShapeError):
         m.partial_trace({0})
     with pytest.raises(ShapeError):
-        sparse(RMatrix.identity(4, (2, 2))).partial_trace({2})
+        SparseRMatrix.identity(4, (2, 2)).partial_trace({2})
+
+
+def _index(digits, dims) -> int:
+    out = 0
+    for x, f in zip(digits, dims):
+        out = out * f + x
+    return out
 
 
 def _brute_partial_trace(entries: dict, dims: tuple, keep: tuple) -> dict:
@@ -79,19 +94,13 @@ def _brute_partial_trace(entries: dict, dims: tuple, keep: tuple) -> dict:
     drop = [k for k in range(len(dims)) if k not in keep]
     kdims = [dims[k] for k in keep]
 
-    def index(digits, fs):
-        out = 0
-        for x, f in zip(digits, fs):
-            out = out * f + x
-        return out
-
     def merge(kept, traced):
         digits = [0] * len(dims)
         for k, x in zip(keep, kept):
             digits[k] = x
         for k, x in zip(drop, traced):
             digits[k] = x
-        return index(digits, dims)
+        return _index(digits, dims)
 
     kspace = list(product(*(range(f) for f in kdims)))
     tspace = list(product(*(range(dims[k]) for k in drop)))
@@ -101,18 +110,57 @@ def _brute_partial_trace(entries: dict, dims: tuple, keep: tuple) -> dict:
             total = sum((entries.get((merge(i, t), merge(j, t)), F(0))
                          for t in tspace), F(0))
             if total:
-                out[(index(i, kdims), index(j, kdims))] = total
+                out[(_index(i, kdims), _index(j, kdims))] = total
     return out
+
+
+def _brute_partial_transpose(entries: dict, dims: tuple, flip: tuple) -> dict:
+    """X^G[i, j] = X[i', j'], where i', j' swap the digits of i, j in flip."""
+    space = list(product(*(range(f) for f in dims)))
+    out = {}
+    for i in space:
+        for j in space:
+            i2 = [j[k] if k in flip else i[k] for k in range(len(dims))]
+            j2 = [i[k] if k in flip else j[k] for k in range(len(dims))]
+            v = entries.get((_index(i2, dims), _index(j2, dims)), F(0))
+            if v:
+                out[(_index(i, dims), _index(j, dims))] = v
+    return out
+
+
+def _brute_matmul(a: dict, b: dict, n: int) -> dict:
+    """(AB)[i, j] = sum over k of A[i, k] B[k, j], over every index."""
+    out = {}
+    for i in range(n):
+        for j in range(n):
+            total = sum((a.get((i, k), F(0)) * b.get((k, j), F(0))
+                         for k in range(n)), F(0))
+            if total:
+                out[(i, j)] = total
+    return out
+
+
+def _brute_trace_product(a: dict, b: dict, n: int) -> F:
+    return sum((a.get((i, j), F(0)) * b.get((j, i), F(0))
+                for i in range(n) for j in range(n)), F(0))
+
+
+def _brute_difference(a: dict, b: dict) -> dict:
+    out = {k: a.get(k, F(0)) - b.get(k, F(0)) for k in a.keys() | b.keys()}
+    return {k: v for k, v in out.items() if v}
+
+
+def entry_dicts(n: int):
+    return st.dictionaries(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+        fractions, max_size=2 * n)
 
 
 @st.composite
 def sparse_operators(draw):
     dims = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
     n = math.prod(dims)
-    entries = draw(st.dictionaries(
-        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
-        fractions, max_size=2 * n))
-    return SparseRMatrix(n, entries, dims)
+    return SparseRMatrix(n, draw(entry_dicts(n)), dims)
 
 
 @given(sparse_operators(), st.data())
@@ -134,39 +182,35 @@ def test_sparse_partial_trace_of_factor_dims_232():
     x = square([[1, 0], [F(1, 2), -1]], (2,))
     y = square([[0, 2, 0], [0, 0, 0], [3, 0, F(-2, 3)]], (3,))
     z = square([[4, 1], [1, 4]], (2,))
-    xyz = sparse(x.tensor(y).tensor(z))
+    xyz = kron(kron(x, y), z)
     assert xyz.factor_dims == (2, 3, 2)
-    assert xyz.partial_trace((1,)).to_dense() == y.scale(x.trace() * z.trace())
-    assert xyz.partial_trace((0, 2)).to_dense() == \
-        x.tensor(z).scale(y.trace())
+    assert xyz.partial_trace((1,)) == y.scale(x.trace() * z.trace())
+    assert xyz.partial_trace((0, 2)) == kron(x, z).scale(y.trace())
     assert xyz.partial_trace((2, 0)) == xyz.partial_trace((0, 2))
 
 
 def test_partial_transpose_product_and_involution():
     x = square([[1, 2], [3, 4]], (2,))
     y = square([[5, 6], [7, 8]], (2,))
-    xy = x.tensor(y)
-    assert xy.partial_transpose({1}) == x.tensor(y.transpose())
+    xy = kron(x, y)
+    y_transposed = square([[5, 7], [6, 8]], (2,))
+    assert xy.partial_transpose({1}) == kron(x, y_transposed)
     assert xy.partial_transpose({1}).partial_transpose({1}) == xy
-    ident = RMatrix.identity(4, (2, 2))
+    ident = SparseRMatrix.identity(4, (2, 2))
     assert ident.partial_transpose({0}) == ident
 
 
 def test_partial_transpose_of_maximally_entangled_is_flip():
     d = 3
-    phi = RMatrix.zeros(d * d, d * d, (d, d))
-    for i in range(d):
-        for j in range(d):
-            phi.entries[(i * d + i) * d * d + (j * d + j)] = F(1, d)
-    flip = RMatrix.zeros(d * d, d * d, (d, d))
-    for i in range(d):
-        for j in range(d):
-            flip.entries[(j * d + i) * d * d + (i * d + j)] = F(1)
+    phi = SparseRMatrix(d * d, {(i * d + i, j * d + j): F(1, d)
+                                for i in range(d) for j in range(d)}, (d, d))
+    flip = SparseRMatrix(d * d, {(j * d + i, i * d + j): F(1)
+                                 for i in range(d) for j in range(d)}, (d, d))
     assert phi.partial_transpose({1}) == flip.scale(F(1, d))
 
 
 def test_trace_examples():
-    assert RMatrix.identity(7).trace() == 7
+    assert SparseRMatrix.identity(7).trace() == 7
     a = square([[1, 2], [3, 4]])
     b = square([[0, 1], [1, 0]])
     assert (a @ b).trace() == (b @ a).trace()
@@ -175,25 +219,25 @@ def test_trace_examples():
 
 def test_floats_never_enter():
     with pytest.raises(TypeError):
-        RMatrix(1, 1, [0.5])
+        SparseRMatrix(1, {(0, 0): 0.5})
     with pytest.raises(TypeError):
-        RMatrix.identity(2).scale(0.5)
+        SparseRMatrix.identity(2).scale(0.5)
 
 
 def test_shape_errors():
     with pytest.raises(ShapeError):
-        RMatrix(2, 2, [1, 2, 3])
+        SparseRMatrix(0)
     with pytest.raises(ShapeError):
-        RMatrix(2, 2, [1, 2, 3, 4], factor_dims=(3,))
+        square([[1, 2], [3, 4]], factor_dims=(3,))
     with pytest.raises(ShapeError):
-        square([[1, 2]]) @ square([[1, 2]])
+        square([[1, 2], [3, 4]]) @ square([[1]])
 
 
 @given(st.lists(fractions, min_size=4, max_size=4),
        st.lists(fractions, min_size=4, max_size=4))
 def test_trace_commutes_under_product(ae, be):
-    a = RMatrix(2, 2, ae)
-    b = RMatrix(2, 2, be)
+    a = flat(2, ae)
+    b = flat(2, be)
     assert (a @ b).trace() == (b @ a).trace()
 
 
@@ -202,8 +246,8 @@ def test_trace_commutes_under_product(ae, be):
 @settings(max_examples=50)
 def test_partial_transpose_trace_identity(ae, be):
     # tr(X^G Y) == tr(X Y^G) on a 2x2-factor space
-    x = RMatrix(4, 4, ae, (2, 2))
-    y = RMatrix(4, 4, be, (2, 2))
+    x = flat(4, ae, (2, 2))
+    y = flat(4, be, (2, 2))
     for flip in ({0}, {1}, {0, 1}):
         assert (x.partial_transpose(flip).trace_product(y)
                 == x.trace_product(y.partial_transpose(flip)))
@@ -213,16 +257,16 @@ def test_partial_transpose_trace_identity(ae, be):
        st.lists(fractions, min_size=9, max_size=9))
 @settings(max_examples=50)
 def test_tensor_multiplicative_trace(ae, be):
-    a = RMatrix(2, 2, ae, (2,))
-    b = RMatrix(3, 3, be, (3,))
-    assert a.tensor(b).trace() == a.trace() * b.trace()
+    a = flat(2, ae, (2,))
+    b = flat(3, be, (3,))
+    assert kron(a, b).trace() == a.trace() * b.trace()
 
 
 def test_rationals_stay_canonical():
     # Fraction keeps gcd(num, den) = 1 and positive denominators throughout.
     a = square([[F(2, 4), F(6, 9)], [F(-10, 4), F(0)]])
     b = a @ a + a.scale(F(3, 5))
-    for e in b.entries:
+    for e in b.data.values():
         from math import gcd
         assert e.denominator > 0
         assert gcd(e.numerator, e.denominator) == 1
@@ -230,12 +274,36 @@ def test_rationals_stay_canonical():
 
 def test_sparse_round_trip_and_product():
     sp = SparseRMatrix(3, {(0, 1): F(2), (2, 0): F(-1, 3)}, (3,))
-    dense = sp.to_dense()
-    assert dense[0, 1] == 2 and dense[2, 0] == F(-1, 3)
+    assert sp.data == {(0, 1): 2, (2, 0): F(-1, 3)}
     other = SparseRMatrix(3, {(1, 2): F(5)})
     prod = sp @ other
-    assert prod.to_dense() == dense @ other.to_dense()
-    assert (sp + sp).to_dense() == dense.scale(2)
-    assert sp.scale(0).to_dense().is_zero()
+    assert prod.data == _brute_matmul(sp.data, other.data, 3)
+    assert (sp + sp).data == {k: 2 * v for k, v in sp.data.items()}
+    assert sp.scale(0).data == {}
     assert sp.scale(0).is_zero() and not sp.is_zero()
     assert (sp + sp.scale(-1)).is_zero()
+
+
+@given(sparse_operators(), st.data())
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_sparse_arithmetic_matches_entry_sums(x, data):
+    dims, n = x.factor_dims, x.n
+    y = SparseRMatrix(n, data.draw(entry_dicts(n)), dims)
+    flip = tuple(sorted(data.draw(st.sets(st.integers(0, len(dims) - 1)))))
+    xy = x @ y
+    difference = x - y
+    x_flipped = x.partial_transpose(flip)
+    assert xy.data == _brute_matmul(x.data, y.data, n)
+    assert x.trace_product(y) == _brute_trace_product(x.data, y.data, n)
+    assert x.trace_product(y) == xy.trace()
+    assert difference.data == _brute_difference(x.data, y.data)
+    assert x_flipped.data == _brute_partial_transpose(x.data, dims, flip)
+    assert x_flipped.partial_transpose(flip) == x
+    assert (x_flipped.trace_product(y)
+            == x.trace_product(y.partial_transpose(flip)))
+    for out in (xy, difference, x_flipped):
+        assert all(v != 0 for v in out.data.values())
+        assert out.factor_dims == dims
+    for bad in ((len(dims),), (-1,), (0, len(dims) + 1)):
+        with pytest.raises(ShapeError):
+            x.partial_transpose(bad)
