@@ -79,8 +79,14 @@ class SparseRMatrix:
         if n <= 0:
             raise ShapeError("matrix dimension must be positive")
         self.n = n
-        self.data = {} if data is None else {k: _frac(v) for k, v in data.items()
-                                             if v != 0}
+        self.data = {}
+        for k, v in (data or {}).items():
+            r, c = k
+            if not (0 <= r < n and 0 <= c < n):
+                raise ShapeError(f"entry {k} outside a {n}x{n} matrix")
+            v = _frac(v)
+            if v:
+                self.data[k] = v     # the caller's key: no second tuple
         self.factor_dims = _check_factor_dims(factor_dims, n)
 
     @classmethod

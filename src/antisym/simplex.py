@@ -8,13 +8,15 @@ Two-phase method over exact integer tableaux with float-guided pricing.  A
 small dense floating-point simplex first solves the same standard form and
 guesses an optimal basis, the guess-then-certify scheme of Applegate, Cook,
 Dash & Espinoza (2007) and Gleixner, Steffy & Wolter (2016).  The exact
-method then prefers the guessed columns as entering columns, each at most
-once per phase, and falls back to Bland's anti-cycling rule, so it always
-terminates.  The guess only chooses entering columns: the exact ratio test
-keeps every basis exactly feasible, and a wrong or missing guess costs
-pivots, never correctness.  A float solve that finds no optimum (typically
-degenerate cycling up to its pivot cap) is retried once on a slightly
-perturbed right-hand side; the perturbation stays inside the float solve.
+method then prefers the guessed columns as entering columns and falls back
+to Bland's anti-cycling rule.  Each guessed column is preferred at most once
+between two strictly improving pivots, after which all are re-armed; no
+basis repeats across a strict improvement, so the method always terminates.
+The guess only chooses entering columns: the exact ratio test keeps every
+basis exactly feasible, and a wrong or missing guess costs pivots, never
+correctness.  A float solve that finds no optimum (typically degenerate
+cycling up to its pivot cap) is retried once on a slightly perturbed
+right-hand side; the perturbation stays inside the float solve.
 
 The tableau keeps every row as a primitive integer vector (contents divided
 out after each pivot), which bounds entry growth by subdeterminant sizes
@@ -161,23 +163,13 @@ class _Tableau:
         self.obj_den = 1
 
     def _reduce_row(self, i: int) -> None:
-        g = abs(self.rhs[i])
-        for v in self.rows[i]:
-            if v:
-                g = gcd(g, abs(v))
-                if g == 1:
-                    return
+        g = gcd(self.rhs[i], *self.rows[i])
         if g > 1:
             self.rows[i] = [v // g for v in self.rows[i]]
             self.rhs[i] //= g
 
     def _reduce_obj(self) -> None:
-        g = self.obj_den
-        for v in self.obj:
-            if v:
-                g = gcd(g, abs(v))
-                if g == 1:
-                    return
+        g = gcd(self.obj_den, *self.obj)
         if g > 1:
             self.obj = [v // g for v in self.obj]
             self.obj_den //= g
@@ -233,11 +225,15 @@ class _Tableau:
         """Maximise; returns OPTIMAL or UNBOUNDED.
 
         A column of ``prefer`` with a negative reduced cost enters first,
-        lowest index first, and each is preferred at most once per call;
-        otherwise Bland's rule picks the entering column.  The preferences
-        run out, so Bland's rule guarantees termination.
+        lowest index first; otherwise Bland's rule picks the entering column.
+        Each preferred column is preferred at most once between two strictly
+        improving pivots (leaving row with a positive right-hand side), after
+        which the whole set is re-armed.  No basis repeats across a strict
+        improvement, and between two of them the preferences run out, so
+        Bland's rule guarantees termination.
         """
-        pending = sorted(self.prefer - barred)
+        guessed = sorted(self.prefer - barred)
+        pending = list(guessed)
         while True:
             enter = -1
             for j in pending:
@@ -270,6 +266,8 @@ class _Tableau:
                     leave = r
             if leave < 0:
                 return UNBOUNDED
+            if self.rhs[leave] > 0:
+                pending = list(guessed)
             self.pivot(leave, enter)
 
 

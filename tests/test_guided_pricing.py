@@ -30,6 +30,11 @@ FULL3_GOLDEN = {
 }
 # full3 at d=4, n=12: the unperturbed float guess stalls on this programme
 FULL3_D4_N12 = F(2806065471666149417, 1820578100724254113792)
+# full3 at d=5, n = 10 and 12: E_C >= 0.73757 and 0.73717
+FULL3_D5_N10 = F(3277751292407863, 544344989184000000)
+FULL3_D5_N12 = F(69954461518155551, 32190537815449600000)
+# the limit programme at n=48, equal to minus the reduced dual's optimum
+LIMIT_48 = F(2388993967258874019200, 3528626791694247004721565133)
 
 # Beale's example: cycles under most-negative pricing with a naive tie-break.
 BEALE = LPProblem(objective=[F(3, 4), -20, F(1, 2), -6],
@@ -107,6 +112,81 @@ def test_full3_guided_equals_unguided(key):
 def test_reduced_dual_guided_equals_unguided():
     lp = build_dual(24)
     assert_same(simplex_solve(lp), unguided(lp))
+
+
+@pytest.mark.parametrize("build, golden, budget", [
+    (lambda: build_dual(48), -LIMIT_48, 60),
+    (lambda: build_purity_bound(48).to_lp(), LIMIT_48, 25),
+    (lambda: build_purity_bound(10, 5, form="full3").to_lp(), FULL3_D5_N10,
+     200),
+], ids=["dual-48", "limit-48", "full3-d5-n10"])
+def test_guessed_columns_are_rearmed_after_each_strict_improvement(
+        build, golden, budget):
+    # preferring each guessed column only once per phase took 258, 33 and
+    # 638 exact pivots on these programmes
+    lp = build()
+    sol, pivots = solve_with_guess(lp)
+    assert sol.value == golden == sol.dual_value
+    assert pivots < budget
+
+
+def test_full3_d5_n12_certifies():
+    lp = build_purity_bound(12, 5, form="full3").to_lp()
+    sol = simplex_solve(lp)
+    assert sol.value == FULL3_D5_N12 == sol.dual_value
+    assert simplex._certify(lp, sol.x, sol.y_ub, sol.y_eq) == FULL3_D5_N12
+
+
+def record_runs(lp, guess):
+    """Solve with ``guess`` preferred; for each ``_Tableau.run`` call return
+    its guessed columns, its barred columns and, per pivot, the entering
+    column, the leaving row's right-hand side and the reduced costs."""
+    runs = []
+    original_run, original_pivot = simplex._Tableau.run, simplex._Tableau.pivot
+    inside = [False]    # pivots between the phases drive artificials out
+
+    def run(tab, barred):
+        runs.append((sorted(tab.prefer - barred), barred, []))
+        inside[0] = True
+        try:
+            return original_run(tab, barred)
+        finally:
+            inside[0] = False
+
+    def pivot(tab, r, j):
+        if inside[0]:
+            runs[-1][2].append((j, tab.rhs[r], list(tab.obj)))
+        original_pivot(tab, r, j)
+
+    with mock.patch.object(simplex._Tableau, "run", run), \
+            mock.patch.object(simplex._Tableau, "pivot", pivot), \
+            mock.patch.object(simplex, "_float_basis", lambda *args: guess):
+        return simplex_solve(lp), runs
+
+
+def test_each_guessed_column_is_preferred_once_between_strict_improvements():
+    # Beale's example with every column preferred: degenerate pivots, Bland
+    # fallbacks and columns that re-enter between two strict improvements
+    sol, runs = record_runs(BEALE, list(range(7)))
+    assert sol.value == F(5, 4)
+    preferred = bland = degenerate = 0
+    for guessed, barred, pivots in runs:
+        used = set()    # preferred since the last strictly improving pivot
+        for enter, rhs, obj in pivots:
+            armed = [j for j in guessed if j not in used and obj[j] < 0]
+            if armed:
+                assert enter == armed[0]
+                used.add(enter)
+                preferred += 1
+            else:       # Bland: the lowest column that improves
+                assert enter == min(j for j, v in enumerate(obj)
+                                    if v < 0 and j not in barred)
+                bland += 1
+            if rhs > 0:
+                used.clear()
+            else:
+                degenerate += 1
+    assert preferred and bland and degenerate
 
 
 @pytest.mark.parametrize("guess", [

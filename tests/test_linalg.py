@@ -222,6 +222,8 @@ def test_floats_never_enter():
         SparseRMatrix(1, {(0, 0): 0.5})
     with pytest.raises(TypeError):
         SparseRMatrix.identity(2).scale(0.5)
+    with pytest.raises(TypeError):     # a float zero is not dropped silently
+        SparseRMatrix(2, {(0, 1): 0.0})
 
 
 def test_shape_errors():
@@ -231,6 +233,9 @@ def test_shape_errors():
         square([[1, 2], [3, 4]], factor_dims=(3,))
     with pytest.raises(ShapeError):
         square([[1, 2], [3, 4]]) @ square([[1]])
+    for key in [(5, 5), (2, 0), (0, 2), (-1, 0), (0, -1)]:
+        with pytest.raises(ShapeError):
+            SparseRMatrix(2, {key: 1})
 
 
 @given(st.lists(fractions, min_size=4, max_size=4),
