@@ -1,7 +1,8 @@
 """Exact rational matrices with tensor-factor structure.
 
-Everything here is arbitrary-precision rational arithmetic (``fractions.Fraction``);
-no floating point ever enters these types.
+Everything here is exact rational arithmetic: a matrix stores Python int
+numerators over one int denominator, and scalars such as traces come back as
+``fractions.Fraction``.  No floating point ever enters these types.
 
 ``SparseRMatrix`` is the one exact matrix type.  It holds the operators on
 the full tensor-power space (C^d)^{x4}: permutation operators and their
@@ -14,15 +15,12 @@ reduced two-factor states (d^2 x d^2).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import prod
+from math import gcd, lcm, prod
 from typing import Iterable, Sequence, Union
 
 Rational = Fraction
 
 RationalLike = Union[Fraction, int]
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class ShapeError(ValueError):
@@ -64,36 +62,68 @@ def _from_digits(digits: Sequence[int], dims: Sequence[int]) -> int:
 
 
 class SparseRMatrix:
-    """Square sparse matrix of rationals, stored as {(row, col): value}.
+    """Square sparse matrix of rationals, stored as int numerators
+    ``{(row, col): int}`` over one positive int denominator ``den``.
 
     Intended for permutation operators on tensor-power spaces, rational
-    combinations thereof and their restrictions and reductions.  No zero is
-    ever stored: every result passes through the constructor, which drops
-    them.
+    combinations thereof and their restrictions and reductions.  The storage
+    is canonical: no zero numerator is stored and ``gcd(den, *nums) == 1``
+    (the zero matrix has ``den == 1``), so two matrices are equal exactly when
+    their dimensions, denominators and numerator dicts are.  Every matrix,
+    from the constructor or from ``from_ints``, passes through ``_finish``,
+    which establishes that form with one ``math.gcd``.
     """
 
-    __slots__ = ("n", "data", "factor_dims")
+    __slots__ = ("n", "nums", "den", "factor_dims")
 
     def __init__(self, n: int, data: dict[tuple[int, int], Fraction] | None = None,
                  factor_dims: Iterable[int] | None = None):
         if n <= 0:
             raise ShapeError("matrix dimension must be positive")
-        self.n = n
-        self.data = {}
+        entries = {}
         for k, v in (data or {}).items():
             r, c = k
             if not (0 <= r < n and 0 <= c < n):
                 raise ShapeError(f"entry {k} outside a {n}x{n} matrix")
-            v = _frac(v)
-            if v:
-                self.data[k] = v     # the caller's key: no second tuple
-        self.factor_dims = _check_factor_dims(factor_dims, n)
+            entries[k] = _frac(v)    # the caller's key: no second tuple
+        den = lcm(*(v.denominator for v in entries.values()))
+        self._finish(n, {k: v.numerator * (den // v.denominator)
+                         for k, v in entries.items()},
+                     den, _check_factor_dims(factor_dims, n))
+
+    @classmethod
+    def from_ints(cls, n: int, nums: dict[tuple[int, int], int], den: int,
+                  factor_dims: Iterable[int] | None = None) -> "SparseRMatrix":
+        """The matrix ``nums / den`` from int numerators, zeros allowed, over
+        a positive int denominator.  Keys and values are trusted, not checked.
+        The matrix may keep ``nums`` as its storage: do not change it later."""
+        out = cls.__new__(cls)
+        out._finish(n, nums, den, _check_factor_dims(factor_dims, n))
+        return out
+
+    def _finish(self, n: int, nums: dict[tuple[int, int], int], den: int,
+                factor_dims: tuple[int, ...] | None) -> None:
+        """Store ``nums / den`` in canonical form."""
+        g = gcd(den, *nums.values())      # a zero numerator does not move it
+        if g != 1 or not all(nums.values()):
+            nums = {k: v // g for k, v in nums.items() if v}
+            den //= g
+        self.n = n
+        self.nums = nums
+        self.den = den
+        self.factor_dims = factor_dims
 
     @classmethod
     def identity(cls, n: int, factor_dims: Iterable[int] | None = None
                  ) -> "SparseRMatrix":
-        return cls(n, dict.fromkeys(((i, i) for i in range(n)), _ONE),
-                   factor_dims)
+        return cls.from_ints(n, dict.fromkeys(((i, i) for i in range(n)), 1),
+                             1, factor_dims)
+
+    @property
+    def data(self) -> dict[tuple[int, int], Fraction]:
+        """The entries as a new ``{(row, col): Fraction}`` dict (a copy)."""
+        den = self.den
+        return {k: Fraction(v, den) for k, v in self.nums.items()}
 
     def _same_shape(self, other: "SparseRMatrix") -> None:
         if self.n != other.n:
@@ -102,47 +132,54 @@ class SparseRMatrix:
 
     def __add__(self, other: "SparseRMatrix") -> "SparseRMatrix":
         self._same_shape(other)
-        out = dict(self.data)
-        for k, v in other.data.items():
-            out[k] = out.get(k, _ZERO) + v
-        return SparseRMatrix(self.n, out, self.factor_dims)
+        den = lcm(self.den, other.den)
+        f, g = den // self.den, den // other.den
+        out = (dict(self.nums) if f == 1
+               else {k: f * v for k, v in self.nums.items()})
+        for k, v in other.nums.items():
+            out[k] = out.get(k, 0) + g * v
+        return SparseRMatrix.from_ints(self.n, out, den, self.factor_dims)
 
     def __sub__(self, other: "SparseRMatrix") -> "SparseRMatrix":
         return self + other.scale(-1)
 
     def scale(self, r: RationalLike) -> "SparseRMatrix":
         r = _frac(r)
-        return SparseRMatrix(self.n, {k: r * v for k, v in self.data.items()},
-                             self.factor_dims)
+        num = r.numerator
+        return SparseRMatrix.from_ints(
+            self.n, {k: num * v for k, v in self.nums.items()},
+            self.den * r.denominator, self.factor_dims)
 
     def __matmul__(self, other: "SparseRMatrix") -> "SparseRMatrix":
         self._same_shape(other)
-        rows: dict[int, list[tuple[int, Fraction]]] = {}
-        for (r, c), v in other.data.items():
+        rows: dict[int, list[tuple[int, int]]] = {}
+        for (r, c), v in other.nums.items():
             rows.setdefault(r, []).append((c, v))
-        out: dict[tuple[int, int], Fraction] = {}
-        for (r, c), v in self.data.items():
+        out: dict[tuple[int, int], int] = {}
+        for (r, c), v in self.nums.items():
             for c2, v2 in rows.get(c, ()):
                 key = (r, c2)
-                out[key] = out.get(key, _ZERO) + v * v2
-        return SparseRMatrix(self.n, out, self.factor_dims)
+                out[key] = out.get(key, 0) + v * v2
+        return SparseRMatrix.from_ints(self.n, out, self.den * other.den,
+                                       self.factor_dims)
 
     def trace(self) -> Fraction:
-        return sum((v for (r, c), v in self.data.items() if r == c), _ZERO)
+        return Fraction(sum(v for (r, c), v in self.nums.items() if r == c),
+                        self.den)
 
     def trace_product(self, other: "SparseRMatrix") -> Fraction:
         """tr(self @ other) without forming the product."""
         self._same_shape(other)
-        get = other.data.get
-        total = _ZERO
-        for (r, c), v in self.data.items():
+        get = other.nums.get
+        total = 0
+        for (r, c), v in self.nums.items():
             w = get((c, r))
             if w is not None:
                 total += v * w
-        return total
+        return Fraction(total, self.den * other.den)
 
     def is_zero(self) -> bool:
-        return not self.data
+        return not self.nums
 
     def _factors(self, indices: Iterable[int]
                  ) -> tuple[tuple[int, ...], list[int]]:
@@ -164,41 +201,39 @@ class SparseRMatrix:
         dims, keep = self._factors(keep)
         drop = [k for k in range(len(dims)) if k not in keep]
         kdims = tuple(dims[k] for k in keep)
+        # each index in use -> (its digits on the traced factors, its index
+        # on the kept ones)
         split: dict[int, tuple[tuple[int, ...], int]] = {}
-
-        def parts(index: int) -> tuple[tuple[int, ...], int]:
-            got = split.get(index)
-            if got is None:
-                digits = _digits(index, dims)
-                got = (tuple(digits[k] for k in drop),
-                       _from_digits([digits[k] for k in keep], kdims))
-                split[index] = got
-            return got
-
-        out: dict[tuple[int, int], Fraction] = {}
-        for (r, c), v in self.data.items():
-            rdrop, rr = parts(r)
-            cdrop, cc = parts(c)
+        for index in {i for key in self.nums for i in key}:
+            digits = _digits(index, dims)
+            split[index] = (tuple(digits[k] for k in drop),
+                            _from_digits([digits[k] for k in keep], kdims))
+        out: dict[tuple[int, int], int] = {}
+        for (r, c), v in self.nums.items():
+            rdrop, rr = split[r]
+            cdrop, cc = split[c]
             if rdrop == cdrop:
-                out[(rr, cc)] = out.get((rr, cc), _ZERO) + v
-        return SparseRMatrix(prod(kdims), out, kdims or (1,))
+                out[(rr, cc)] = out.get((rr, cc), 0) + v
+        return SparseRMatrix.from_ints(prod(kdims), out, self.den,
+                                       kdims or (1,))
 
     def partial_transpose(self, flip: Iterable[int]) -> "SparseRMatrix":
         """Transpose the factors in ``flip`` (0-based); an involution."""
         dims, flip = self._factors(flip)
         out = {}
-        for (r, c), v in self.data.items():
+        for (r, c), v in self.nums.items():
             rd = list(_digits(r, dims))
             cd = list(_digits(c, dims))
             for k in flip:
                 rd[k], cd[k] = cd[k], rd[k]
             out[(_from_digits(rd, dims), _from_digits(cd, dims))] = v
-        return SparseRMatrix(self.n, out, dims)
+        return SparseRMatrix.from_ints(self.n, out, self.den, dims)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparseRMatrix):
             return NotImplemented
-        return self.n == other.n and self.data == other.data
+        return (self.n == other.n and self.den == other.den
+                and self.nums == other.nums)
 
     def __repr__(self) -> str:
-        return f"SparseRMatrix({self.n}x{self.n}, nnz={len(self.data)})"
+        return f"SparseRMatrix({self.n}x{self.n}, nnz={len(self.nums)})"

@@ -10,13 +10,15 @@ Two computation routes exist side by side and are cross-checked in tests:
 
 * symbolic traces via the cycle count of a permutation (the trace of a
   permutation operator on (C^d)^{x4} is d to the number of cycles), and
-* explicit exact matrices, all ``SparseRMatrix``.  Full-space operators
-  have at most 24 d^4 nonzeros (one group-algebra element); the reduced
-  two-factor states are their partial traces.  Products and idempotence are
-  checked on the pair subspace wedge2 x wedge2, where all operators of
-  interest are supported, as m^2 x m^2 matrices.  The restriction is an
-  algebra isomorphism onto that subspace, so products, idempotence and
-  traces proven there hold for the full-space operators.
+* explicit exact matrices, all ``SparseRMatrix`` (int numerators over one
+  int denominator).  Full-space operators have at most 24 d^4 nonzeros (one
+  group-algebra element, summed in ints over the lcm of its coefficients'
+  denominators); the reduced two-factor states are their partial traces.
+  Products and idempotence are checked on the pair subspace
+  wedge2 x wedge2, where all operators of interest are supported, as
+  m^2 x m^2 matrices.  The restriction is an algebra isomorphism onto that
+  subspace, so products, idempotence and traces proven there hold for the
+  full-space operators.
 """
 
 from __future__ import annotations
@@ -165,16 +167,14 @@ class GroupAlgebraElement:
 
     def to_operator(self, d: int) -> SparseRMatrix:
         """Sparse operator on (C^d)^{x4}.  Entries are summed as integers
-        over the common denominator, then reduced once per nonzero."""
+        over the common denominator of the coefficients."""
         den = math.lcm(*(c.denominator for c in self.coeffs.values()))
         sums: dict[tuple[int, int], int] = {}
         for p, c in self.coeffs.items():
             w = c.numerator * (den // c.denominator)
             for key in _perm_pairs(p.images, d):
                 sums[key] = sums.get(key, 0) + w
-        return SparseRMatrix(d ** 4, {k: Fraction(v, den)
-                                      for k, v in sums.items() if v},
-                             (d, d, d, d))
+        return SparseRMatrix.from_ints(d ** 4, sums, den, (d, d, d, d))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, GroupAlgebraElement)
@@ -189,24 +189,20 @@ def _perm_pairs(images: tuple[int, int, int, int], d: int
                 ) -> tuple[tuple[int, int], ...]:
     """The (row, col) positions of the ones of the operator sending slot k's
     content to slot images[k]."""
-    pairs = []
-    for src in product(range(d), repeat=4):
-        dst = [0] * 4
-        for k in range(4):
-            dst[images[k] - 1] = src[k]
-        r = ((dst[0] * d + dst[1]) * d + dst[2]) * d + dst[3]
-        c = ((src[0] * d + src[1]) * d + src[2]) * d + src[3]
-        pairs.append((r, c))
-    return tuple(pairs)
+    # column digits run in lexicographic order; slot k's digit lands in
+    # slot images[k] of the row, whose place value is d^(4 - images[k])
+    w0, w1, w2, w3 = (d ** (4 - i) for i in images)
+    return tuple(zip((a * w0 + b * w1 + x * w2 + y * w3
+                      for a, b, x, y in product(range(d), repeat=4)),
+                     range(d ** 4)))
 
 
 def perm_operator(perm: Perm4, d: int) -> SparseRMatrix:
     """Sparse operator permuting the tensor factors of (C^d)^{x4} by ``perm``."""
     if d < 2:
         raise ValueError("d must be at least 2")
-    one = Fraction(1)
-    return SparseRMatrix(d ** 4, dict.fromkeys(_perm_pairs(perm.images, d), one),
-                         (d, d, d, d))
+    return SparseRMatrix.from_ints(
+        d ** 4, dict.fromkeys(_perm_pairs(perm.images, d), 1), 1, (d, d, d, d))
 
 
 # -- Young projectors --------------------------------------------------------
@@ -300,50 +296,34 @@ class PairBasis:
         self.d = d
         self.pairs = list(combinations(range(d), 2))
         self.m = len(self.pairs)
-        self._pair_index = {p: i for i, p in enumerate(self.pairs)}
-
-    def _project(self, a: int, b: int) -> tuple[int, int] | None:
-        """(pair index, sign) of |ab> inside the antisymmetric pair basis."""
-        if a == b:
-            return None
-        if a < b:
-            return self._pair_index[(a, b)], 1
-        return self._pair_index[(b, a)], -1
-
-    def _decode(self, big: int) -> tuple[int, int, int, int]:
-        d = self.d
-        big, bp = divmod(big, d)
-        big, ap = divmod(big, d)
-        a, b = divmod(big, d)
-        return a, b, ap, bp
 
     def restrict(self, op: SparseRMatrix) -> SparseRMatrix:
         """Exact restriction of a 4-factor operator to the pair subspace."""
-        if op.n != self.d ** 4:
+        d = self.d
+        if op.n != d ** 4:
             raise ShapeError("operator does not live on (C^d)^{x4}")
         m = self.m
-        out: dict[tuple[int, int], Fraction] = {}
-        for (r, c), v in op.data.items():
-            a, b, ap, bp = self._decode(r)
-            pr = self._project(a, b)
-            if pr is None:
+        # (pair index, sign) of |ab> in the pair basis, at index a*d + b;
+        # None where a == b, which the pair subspace does not meet
+        project: list[tuple[int, int] | None] = [None] * (d * d)
+        for i, (a, b) in enumerate(self.pairs):
+            project[a * d + b] = (i, 1)
+            project[b * d + a] = (i, -1)
+        # (basis index, sign) of |ab a'b'> at index (a*d + b)*d^2 + a'*d + b'
+        index = [None if p is None or q is None
+                 else (p[0] * m + q[0], p[1] * q[1])
+                 for p in project for q in project]
+        out: dict[tuple[int, int], int] = {}
+        for (r, c), v in op.nums.items():
+            row = index[r]
+            if row is None:
                 continue
-            qr = self._project(ap, bp)
-            if qr is None:
+            col = index[c]
+            if col is None:
                 continue
-            a2, b2, ap2, bp2 = self._decode(c)
-            pc = self._project(a2, b2)
-            if pc is None:
-                continue
-            qc = self._project(ap2, bp2)
-            if qc is None:
-                continue
-            key = (pr[0] * m + qr[0], pc[0] * m + qc[0])
-            sign = pr[1] * qr[1] * pc[1] * qc[1]
-            out[key] = out.get(key, 0) + (v if sign > 0 else -v)
-        quarter = Fraction(1, 4)
-        return SparseRMatrix(m * m, {k: quarter * v for k, v in out.items()},
-                             (m, m))
+            key = (row[0], col[0])
+            out[key] = out.get(key, 0) + (v if row[1] == col[1] else -v)
+        return SparseRMatrix.from_ints(m * m, out, op.den * 4, (m, m))
 
     # compressed building blocks ------------------------------------------
 
@@ -358,29 +338,29 @@ class PairBasis:
         """Restriction of Phi_{AA'} x Phi_{BB'} (maximally entangled pairs)."""
         d = self.d
         data = {}
-        w = Fraction(1, d * d)
         for i in range(d):
             for j in range(d):
                 r = ((i * d + j) * d + i) * d + j
                 for k in range(d):
                     for l in range(d):
                         c = ((k * d + l) * d + k) * d + l
-                        data[r, c] = w
-        return self.restrict(SparseRMatrix(d ** 4, data, (d, d, d, d)))
+                        data[r, c] = 1
+        return self.restrict(
+            SparseRMatrix.from_ints(d ** 4, data, d * d, (d, d, d, d)))
 
     def restricted_one_phi(self) -> SparseRMatrix:
         """Restriction of 1_{AA'} x Phi_{BB'}."""
         d = self.d
         data = {}
-        w = Fraction(1, d)
         for a in range(d):
             for ap in range(d):
                 for j in range(d):
                     r = ((a * d + j) * d + ap) * d + j
                     for l in range(d):
                         c = ((a * d + l) * d + ap) * d + l
-                        data[r, c] = w
-        return self.restrict(SparseRMatrix(d ** 4, data, (d, d, d, d)))
+                        data[r, c] = 1
+        return self.restrict(
+            SparseRMatrix.from_ints(d ** 4, data, d, (d, d, d, d)))
 
 
 # -- the three invariant projectors across the AB:A'B' cut --------------------
@@ -461,9 +441,8 @@ def pair_flip_signs(d: int, method: str = "symbolic") -> dict[Partition, Fractio
 
 def flip_matrix(d: int) -> SparseRMatrix:
     """The swap operator F|ij> = |ji> on C^d x C^d."""
-    one = Fraction(1)
-    return SparseRMatrix(d * d, {(j * d + i, i * d + j): one
-                                 for i in range(d) for j in range(d)}, (d, d))
+    swap = {(j * d + i, i * d + j): 1 for i in range(d) for j in range(d)}
+    return SparseRMatrix.from_ints(d * d, swap, 1, (d, d))
 
 
 def reduced_pair_state(shape: Partition, d: int) -> SparseRMatrix:

@@ -118,6 +118,38 @@ def test_verify_rep_full_level(capsys):
     assert "transpose_overlaps_(matrix)" in out
 
 
+def test_verify_rep_full_level_at_the_largest_dimension(capsys):
+    code, out, err = run(capsys, "verify", "rep", "--d", "7", "--level",
+                         "full", "--format", "json")
+    assert code == 0 and err == ""
+    rows = json.loads(out)["results"]
+    assert len(rows) == 11
+    assert all(r["exact"] == {"num": "1", "den": "1"} and r["d"] == 7
+               for r in rows)
+
+
+def test_verify_rep_failure_exit_code(capsys, monkeypatch):
+    from antisym import cli
+    from antisym.linalg import SparseRMatrix
+
+    werner_mixture = cli.prj.werner_mixture
+
+    def perturbed(p, d):
+        nudge = SparseRMatrix.identity(d * d, (d, d)).scale(F(1, 10 ** 6))
+        return werner_mixture(p, d) + nudge
+
+    monkeypatch.setattr(cli.prj, "werner_mixture", perturbed)
+    code, out, err = run(capsys, "verify", "rep", "--d", "4", "--level",
+                         "full", "--format", "json")
+    assert code == 1
+    assert err == "verification failed: reduced pair states\n"
+    rows = {r["quantity"]: r for r in json.loads(out)["results"]}
+    assert rows["reduced_pair_states"]["exact"] == {"num": "0", "den": "1"}
+    assert rows["reduced_pair_states"]["decimal"] == 0.0
+    assert all(r["exact"]["num"] == "1" for name, r in rows.items()
+               if name != "reduced_pair_states")
+
+
 def test_verify_rep_range(capsys):
     code, _, err = run(capsys, "verify", "rep", "--d", "2")
     assert code == 2

@@ -312,3 +312,48 @@ def test_sparse_arithmetic_matches_entry_sums(x, data):
     for bad in ((len(dims),), (-1,), (0, len(dims) + 1)):
         with pytest.raises(ShapeError):
             x.partial_transpose(bad)
+
+
+def _assert_canonical(m: SparseRMatrix) -> None:
+    assert m.den >= 1
+    assert math.gcd(m.den, *m.nums.values()) == 1
+    assert all(type(v) is int and v != 0 for v in m.nums.values())
+
+
+@given(sparse_operators(), st.data())
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_storage_is_canonical_int_numerators(x, data):
+    dims, n = x.factor_dims, x.n
+    raw = data.draw(entry_dicts(n))
+    y = SparseRMatrix(n, raw, dims)
+    r = data.draw(fractions)
+    keep = tuple(sorted(data.draw(st.sets(st.integers(0, len(dims) - 1)))))
+    flip = tuple(sorted(data.draw(st.sets(st.integers(0, len(dims) - 1)))))
+    for out in (x, y, x + y, x - y, x - x, x @ y, x.scale(r),
+                x.scale(F(2, 4)), x.partial_trace(keep),
+                x.partial_transpose(flip)):
+        _assert_canonical(out)
+    # equal as rationals, built by different routes
+    assert x.scale(F(2, 4)) == x.scale(F(1, 2)) == x.scale(2).scale(F(1, 4))
+    assert (x + y) - y == x
+    if r:
+        assert x.scale(r).scale(1 / r) == x
+    k = data.draw(st.integers(1, 12))
+    spread = {key: k * v for key, v in x.nums.items()}
+    spread.update((key, 0) for key in raw if key not in spread)
+    assert SparseRMatrix.from_ints(n, spread, k * x.den, dims) == x
+    zero = x - x
+    assert zero.is_zero() and zero.den == 1
+    assert zero == SparseRMatrix(n, None, dims) == x.scale(0)
+    # the Fraction view, traces and products against entry-dict references
+    values = {key: v for key, v in raw.items() if v}
+    assert y.data == values
+    assert all(isinstance(v, F) for v in y.data.values())
+    y.data.clear()                      # a copy, not the storage
+    assert y.data == values
+    assert x.scale(r).data == {key: r * v for key, v in x.data.items() if r}
+    assert (x + y).data == _brute_difference(x.data, y.scale(-1).data)
+    assert y.trace() == sum((v for (i, j), v in values.items() if i == j),
+                            F(0))
+    assert x.trace_product(y) == _brute_trace_product(x.data, values, n)
+    assert (x @ y).data == _brute_matmul(x.data, values, n)

@@ -169,20 +169,24 @@ def test_full_space_operators_are_sparse():
 
 def test_full_verification_builds_no_dense_full_space_matrix(monkeypatch):
     # a group-algebra element has at most 24 d^4 of the d^8 entries on the
-    # full space, and m^4 < 24 d^4 bounds every pair-subspace matrix
+    # full space, and m^4 < 24 d^4 bounds every pair-subspace matrix; every
+    # matrix, from the constructor or from an operation, ends in _finish
     d = 5
     stored = []
-    init = SparseRMatrix.__init__
+    finish = SparseRMatrix._finish
 
     def spy(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        stored.append((self.n, len(self.data)))
+        finish(self, *args, **kwargs)
+        stored.append((self.n, len(self.nums)))
 
-    monkeypatch.setattr(SparseRMatrix, "__init__", spy)
+    monkeypatch.setattr(SparseRMatrix, "_finish", spy)
     for name, check in cli._verification_checks(d, "full"):
         assert check(), name
     assert max(n for n, _ in stored) == d ** 4
     assert max(nnz for _, nnz in stored) <= 24 * d ** 4
+    # the spy saw the full-space, pair-subspace and reduced matrices
+    m = d * (d - 1) // 2
+    assert {d ** 4, m * m, d * d} <= {n for n, _ in stored}
 
 
 def test_restriction_is_multiplicative():
