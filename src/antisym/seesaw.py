@@ -5,6 +5,11 @@ simplex's float basis guess only steers exact pivoting).  It produces a
 certified *lower* bound on the maximum purity of the A-side reduction over
 unit vectors in the n-fold tensor power of the antisymmetric pair subspace,
 for cross-validation against the exact LP upper bounds.
+
+A state is m^n coefficients over products of the m = d(d-1)/2 pair vectors
+(e_i e_j - e_j e_i)/sqrt(2), i < j.  The isometry onto (d^n, d^n) amplitude
+matrices is one scatter (``_lift``) and its adjoint one gather (``_project``)
+through index maps built once per call and shared read-only by the restarts.
 """
 
 from __future__ import annotations
@@ -21,6 +26,8 @@ STALL_TOLERANCE = 1e-12
 POWER_TOLERANCE = 1e-13
 POWER_MAX_STEPS = 20_000
 
+IndexMaps = tuple[np.ndarray, np.ndarray]
+
 
 class ResourceLimitError(RuntimeError):
     """Problem size exceeds the configured memory guard."""
@@ -36,38 +43,38 @@ class PurityResult:
     seed: int
 
 
-def _pair_isometry(d: int) -> np.ndarray:
-    """(d, d, m) tensor mapping pair coordinates to antisymmetric two-tensors."""
-    pairs = list(combinations(range(d), 2))
-    w = np.zeros((d, d, len(pairs)))
+def _pair_isometry(d: int, n: int) -> IndexMaps:
+    """Index maps of the isometry W^{(x)n} from pair coordinates.
+
+    ``(index, weight)``, each (2^n, m^n): the flat (d^n, d^n) positions and
+    entries +-2^(-n/2) of a coefficient's image, one per orientation of its
+    n pairs (coefficients in big-endian pair order).
+    """
+    i, j = np.array(list(combinations(range(d), 2))).T
+    # flat offset of one copy's pair, per orientation: index -> index*d + step
+    step = np.array([i * d ** n + j, j * d ** n + i])
+    index = np.zeros((1, 1), dtype=np.intp)
     r = 1.0 / np.sqrt(2.0)
-    for p, (i, j) in enumerate(pairs):
-        w[i, j, p] = r
-        w[j, i, p] = -r
-    return w
+    scale = np.ones(1)
+    for _ in range(n):
+        index = (index[:, None, :, None] * d
+                 + step[None, :, None, :]).reshape(2 * len(index), -1)
+        scale = np.outer(scale, [r, -r]).ravel()
+    return index, np.broadcast_to(scale[:, None], index.shape)
 
 
-def _lift(u: np.ndarray, w: np.ndarray, n: int, d: int) -> np.ndarray:
+def _lift(u: np.ndarray, w: IndexMaps, n: int, d: int) -> np.ndarray:
     """Coefficient vector -> amplitude matrix of shape (d^n, d^n)."""
-    m = w.shape[2]
-    t = u.reshape((m,) * n)
-    for _ in range(n):
-        t = np.tensordot(t, w, axes=([0], [2]))
-    # axes now (a_1, b_1, ..., a_n, b_n); group the a's before the b's
-    order = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
-    return t.transpose(order).reshape(d ** n, d ** n)
+    index, weight = w
+    out = np.zeros(d ** (2 * n))
+    out[index] = weight * u
+    return out.reshape(d ** n, d ** n)
 
 
-def _project(mat: np.ndarray, w: np.ndarray, n: int, d: int) -> np.ndarray:
+def _project(mat: np.ndarray, w: IndexMaps, n: int, d: int) -> np.ndarray:
     """Adjoint of ``_lift``: amplitude matrix -> coefficient vector."""
-    order = [None] * (2 * n)
-    for k in range(n):
-        order[2 * k] = k
-        order[2 * k + 1] = n + k
-    t = mat.reshape((d,) * (2 * n)).transpose(order)
-    for _ in range(n):
-        t = np.tensordot(t, w, axes=([0, 1], [0, 1]))
-    return t.reshape(-1)
+    index, weight = w
+    return (mat.ravel()[index] * weight).sum(axis=0)
 
 
 def _top_eigenvector(matvec, start: np.ndarray, rng: np.random.Generator
@@ -91,18 +98,19 @@ def _top_eigenvector(matvec, start: np.ndarray, rng: np.random.Generator
     return v
 
 
-def _run_restart(n: int, d: int, w: np.ndarray, iterations: int,
+def _run_restart(n: int, d: int, w: IndexMaps, iterations: int,
                  seed: int) -> tuple[float, list[float]]:
+    """(best purity, purity after each sweep) of one restart on maps ``w``;
+    each sweep's final state and comparison matrix open the next sweep."""
     rng = np.random.default_rng(seed)
-    m = w.shape[2]
+    m = d * (d - 1) // 2
     u = rng.standard_normal(m ** n)
     u /= np.linalg.norm(u)
     history: list[float] = []
     best = 0.0
+    mat = _lift(u, w, n, d)
+    rho = mat @ mat.T
     for _ in range(iterations):
-        mat = _lift(u, w, n, d)
-        rho = mat @ mat.T
-
         def matvec(v: np.ndarray) -> np.ndarray:
             return _project(rho @ _lift(v, w, n, d), w, n, d)
 
@@ -138,7 +146,7 @@ def purity_seesaw(n: int, d: int, restarts: int = 10, iterations: int = 200,
     if d ** (2 * n) > DIMENSION_GUARD:
         raise ResourceLimitError(
             f"d^(2n) = {d ** (2 * n)} exceeds the guard {DIMENSION_GUARD}")
-    w = _pair_isometry(d)
+    w = _pair_isometry(d, n)
     seeds = [seed + r for r in range(restarts)]
     if threads == 1:
         outcomes = [_run_restart(n, d, w, iterations, s) for s in seeds]

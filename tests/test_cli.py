@@ -181,6 +181,27 @@ def test_threads_env_validation(capsys, monkeypatch):
     assert code == 0
 
 
+def test_purity_dimension_guard_exit_code(capsys):
+    code, out, err = run(capsys, "purity", "--d", "8", "--n", "3")
+    assert code == 2
+    assert out == ""
+    assert err == "error: d^(2n) = 262144 exceeds the guard 65536\n"
+
+
+def test_purity_results_independent_of_threads(capsys, monkeypatch):
+    args = ("purity", "--d", "4", "--n", "2", "--restarts", "4",
+            "--iters", "50", "--seed", "3", "--format", "json")
+    results = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("ANTISYM_THREADS", threads)
+        code, out, _ = run(capsys, *args)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["params"]["threads"] == int(threads)
+        results.append(payload["results"])
+    assert results[0] == results[1]
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "result.json"
     code, out, _ = run(capsys, "squashed", "--d", "5",

@@ -1,10 +1,111 @@
 """Floating-point see-saw oracle: known values, monotonicity, determinism."""
 
+from itertools import combinations
+
+import numpy as np
 import pytest
 
+from antisym import seesaw
 from antisym.programs import solve_purity_bound
-from antisym.seesaw import (ResourceLimitError, _pair_isometry, _run_restart,
+from antisym.seesaw import (ResourceLimitError, _lift, _pair_isometry,
+                            _project, _run_restart, _top_eigenvector,
                             purity_seesaw)
+
+# Every (d, n) with d^(2n) <= 4096, plus the benchmark's largest d=4 n=4.
+ISOMETRY_CASES = ([(d, n) for n in range(1, 7) for d in range(2, 65)
+                   if d ** (2 * n) <= 4096] + [(4, 4)])
+
+
+# -- reference isometry: one tensordot per copy -------------------------------
+
+def reference_pair_isometry(d):
+    """(d, d, m) tensor: pair coordinates -> antisymmetric two-tensors."""
+    pairs = list(combinations(range(d), 2))
+    w = np.zeros((d, d, len(pairs)))
+    r = 1.0 / np.sqrt(2.0)
+    for p, (i, j) in enumerate(pairs):
+        w[i, j, p] = r
+        w[j, i, p] = -r
+    return w
+
+
+def reference_lift(u, w, n, d):
+    m = w.shape[2]
+    t = u.reshape((m,) * n)
+    for _ in range(n):
+        t = np.tensordot(t, w, axes=([0], [2]))
+    # axes now (a_1, b_1, ..., a_n, b_n); group the a's before the b's
+    order = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
+    return t.transpose(order).reshape(d ** n, d ** n)
+
+
+def reference_project(mat, w, n, d):
+    order = [None] * (2 * n)
+    for k in range(n):
+        order[2 * k] = k
+        order[2 * k + 1] = n + k
+    t = mat.reshape((d,) * (2 * n)).transpose(order)
+    for _ in range(n):
+        t = np.tensordot(t, w, axes=([0, 1], [0, 1]))
+    return t.reshape(-1)
+
+
+@pytest.mark.parametrize("d,n", ISOMETRY_CASES)
+def test_index_maps_match_reference_isometry(d, n):
+    rng = np.random.default_rng(1000 * d + n)
+    index, weight = w = _pair_isometry(d, n)
+    ref = reference_pair_isometry(d)
+    m = d * (d - 1) // 2
+    assert index.shape == weight.shape == (2 ** n, m ** n)
+    flat = index.ravel()
+    assert len(np.unique(flat)) == flat.size
+    assert flat.min() >= 0 and flat.max() < d ** (2 * n)
+    assert np.allclose(np.abs(weight), 2.0 ** (-n / 2), rtol=1e-15, atol=0)
+    u = rng.standard_normal(m ** n)
+    u /= np.linalg.norm(u)
+    x = rng.standard_normal((d ** n, d ** n))
+    x /= np.linalg.norm(x)
+    lifted = _lift(u, w, n, d)
+    assert np.max(np.abs(lifted - reference_lift(u, ref, n, d))) <= 1e-15
+    assert np.max(np.abs(_project(x, w, n, d)
+                         - reference_project(x, ref, n, d))) <= 1e-15
+    assert abs(np.linalg.norm(lifted) - 1.0) <= 1e-14
+    assert np.array_equal(lifted.T, (-1) ** n * lifted)
+    assert abs(np.sum(lifted * x) - u @ _project(x, w, n, d)) <= 1e-14
+
+
+@pytest.mark.parametrize("d,n", [(3, 2), (4, 3), (6, 2)])
+@pytest.mark.parametrize("seed", [0, 17])
+def test_restart_trajectory_matches_reference_route(d, n, seed, monkeypatch):
+    best, history = _run_restart(n, d, _pair_isometry(d, n), 200, seed)
+    monkeypatch.setattr(seesaw, "_lift", reference_lift)
+    monkeypatch.setattr(seesaw, "_project", reference_project)
+    ref_best, ref_history = _run_restart(n, d, reference_pair_isometry(d),
+                                         200, seed)
+    assert len(history) == len(ref_history)
+    assert np.allclose(history, ref_history, rtol=0, atol=1e-12)
+    assert abs(best - ref_best) <= 1e-12
+
+
+def test_top_eigenvector_reseeds_from_a_start_in_the_kernel():
+    e = np.zeros(5)
+    e[0] = 1.0
+    start = np.zeros(5)
+    start[2] = 1.0
+    zero_images = []
+
+    def matvec(v):
+        out = e * (e @ v)
+        if not out.any():
+            zero_images.append(v)
+        return out
+
+    rng = np.random.default_rng(3)
+    v = _top_eigenvector(matvec, start, rng)
+    assert len(zero_images) == 1
+    fresh = np.random.default_rng(3)
+    assert rng.bit_generator.state != fresh.bit_generator.state
+    assert abs(abs(v @ e) - 1.0) < 1e-12
 
 
 def test_single_copy_purity_is_half():
@@ -26,7 +127,7 @@ def test_result_metadata():
 
 
 def test_monotone_within_restart():
-    w = _pair_isometry(3)
+    w = _pair_isometry(3, 2)
     _, history = _run_restart(2, 3, w, iterations=100, seed=13)
     for a, b in zip(history, history[1:]):
         assert b >= a - 1e-10
