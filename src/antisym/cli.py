@@ -204,11 +204,8 @@ def _resolve_d(args):
 
 def cmd_lp_primal(args) -> int:
     d = _resolve_d(args)
-    try:
-        value, solution, _ = prg.solve_purity_bound(
-            args.n, d, parity=args.parity, form=args.form, corner=args.corner)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    value, solution, _ = prg.solve_purity_bound(
+        args.n, d, parity=args.parity, form=args.form, corner=args.corner)
     coeff = Fraction(-1, args.n)
     ec = float(coeff) * bnd.log2_fraction(value)
     rows = [
@@ -231,10 +228,7 @@ def cmd_lp_primal(args) -> int:
 def cmd_lp_dual(args) -> int:
     beta = _parse_fraction(args.beta)
     gamma = _parse_fraction(args.gamma) if args.gamma is not None else None
-    try:
-        point = prg.analytic_dual_point(args.n, beta, gamma)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    point = prg.analytic_dual_point(args.n, beta, gamma)
     rows = [_row("dual_bound_z", point.z, float(point.z),
                  "value of the geometric dual point", n=args.n),
             _row("feasible", Fraction(1 if point.feasible else 0),

@@ -35,6 +35,15 @@ def _frac(x: RationalLike) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
+def _lowest_terms(values: list, den: int = 1) -> tuple[list[int], int]:
+    """``values / den``, for int or Fraction values and a positive int
+    ``den``, as int numerators over one denominator in lowest terms."""
+    scale = lcm(*(v.denominator for v in values))
+    nums = [v.numerator * (scale // v.denominator) for v in values]
+    g = gcd(den * scale, *nums)
+    return [v // g for v in nums], den * scale // g
+
+
 def _check_factor_dims(factor_dims, rows: int) -> tuple[int, ...] | None:
     if factor_dims is None:
         return None
@@ -86,10 +95,9 @@ class SparseRMatrix:
             if not (0 <= r < n and 0 <= c < n):
                 raise ShapeError(f"entry {k} outside a {n}x{n} matrix")
             entries[k] = _frac(v)    # the caller's key: no second tuple
-        den = lcm(*(v.denominator for v in entries.values()))
-        self._finish(n, {k: v.numerator * (den // v.denominator)
-                         for k, v in entries.items()},
-                     den, _check_factor_dims(factor_dims, n))
+        nums, den = _lowest_terms(list(entries.values()))
+        self._finish(n, dict(zip(entries, nums)), den,
+                     _check_factor_dims(factor_dims, n))
 
     @classmethod
     def from_ints(cls, n: int, nums: dict[tuple[int, int], int], den: int,

@@ -8,7 +8,7 @@ programme is reduced to one variable per occurrence-count type (aggregated
 mass), shrinking 3^n variables to C(n+2,2) and likewise for constraints.
 ``single_copy`` gives the single-copy data that the reduced and the unreduced
 (reference) programme are both built from; ``SymLP.to_lp`` assembles the
-reduced rows in integers, degree by degree, with one Fraction per nonzero entry.
+reduced rows in integers, degree by degree, as int rows over one denominator.
 
 Two forms exist:
 
@@ -27,9 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import comb, factorial, lcm, prod
+from math import comb, factorial, prod
 from typing import Iterator, NamedTuple
 
+from .linalg import _lowest_terms
 from .projectors import DINF, constraint_columns
 from .simplex import LPProblem, LPSolution, simplex_solve
 
@@ -76,29 +77,23 @@ class SymLP:
     types: tuple[tuple[int, ...], ...]          # variable types, lex order
     row_types: tuple[tuple[int, ...], ...]      # constraint types, lex order
 
-    def objective_coeff(self, t: tuple[int, ...]) -> Fraction:
-        out = Fraction(1)
-        for w, c in zip(self.weights, t):
-            if c:
-                out *= w ** c
-        return out
-
     def to_lp(self) -> LPProblem:
-        """Assemble the programme in one pass over all row types.
+        """Assemble the programme in one pass over all row types, in ints.
 
         Row r is scaled once to integers by the lcm D_r of its denominators.
         The integer polynomial of row type k (the sum over strings y of type t
         of prod_i rows[w_i][y_i], for a string w of type k) is the polynomial
         of k - e_r times integer row r, where r is the last nonzero count of
         k, so degree j is built from degree j - 1 alone.  A variable type t
-        is keyed as sum_y t_y (n+1)^y.  Each nonzero entry is one Fraction:
-        the constraint acts on per-string values p_t = q_t / multinomial(t).
+        is keyed as sum_y t_y (n+1)^y.  The constraint acts on per-string
+        values p_t = q_t / multinomial(t), and 1/multinomial(t) =
+        prod_y t_y! / n!, so entry t of row k is -coeff * prod_y t_y! over the
+        row denominator D_k * n!, where D_k = prod_r D_r^(k_r).
         """
         shifts = [(self.n + 1) ** y for y in range(len(self.symbols))]
-        scales = [lcm(*(v.denominator for v in row)) for row in self.rows]
-        lines = [[(shift, v.numerator * (scale // v.denominator))
-                  for shift, v in zip(shifts, row) if v]
-                 for scale, row in zip(scales, self.rows)]
+        scaled = [_lowest_terms(row) for row in self.rows]
+        lines = [[(shift, v) for shift, v in zip(shifts, nums) if v]
+                 for nums, _ in scaled]
         level = {(0,) * len(self.rows): {0: 1}}
         for _ in range(self.n):
             nxt = {}
@@ -113,32 +108,33 @@ class SymLP:
             level = nxt
         index = {sum(c * shift for c, shift in zip(t, shifts)): i
                  for i, t in enumerate(self.types)}
-        mult = [multinomial(t) for t in self.types]
-        zero = Fraction(0)
-        a_ub = []
+        facts = [prod(factorial(c) for c in t) for t in self.types]
+        a_ub, dens = [], []
         for rt in self.row_types:
-            scale = prod(s ** c for s, c in zip(scales, rt))
-            row = [zero] * len(self.types)
+            row = [0] * len(self.types)
             for key, coeff in level[rt].items():
                 i = index.get(key)
-                if i is not None and coeff:
-                    row[i] = Fraction(-coeff, scale * mult[i])
+                if i is not None:
+                    row[i] = -coeff * facts[i]
             a_ub.append(row)
-        c = [self.objective_coeff(t) for t in self.types]
-        return _normalized_lp(c, a_ub, self.normalization)
+            dens.append(prod(den ** c for (_, den), c in zip(scaled, rt))
+                        * factorial(self.n))
+        weights, weight_den = _lowest_terms(self.weights)
+        c = [prod(w ** k for w, k in zip(weights, t)) for t in self.types]
+        return _normalized_lp(c, weight_den ** self.n, a_ub, dens,
+                              self.normalization)
 
 
-def _normalized_lp(c: list[Fraction], a_ub: list[list[Fraction]],
-                   normalization: str) -> LPProblem:
-    """max c.x over the homogeneous rows a_ub.x <= 0 and the normalisation
-    sum x = 1 ("eq") or sum x <= 1 ("le")."""
-    b_ub = [Fraction(0)] * len(a_ub)
-    ones = [Fraction(1)] * len(c)
+def _normalized_lp(c: list[int], c_den: int, a_ub: list[list[int]],
+                   dens: list[int], normalization: str) -> LPProblem:
+    """max (c / c_den).x over the homogeneous rows (a_ub[i] / dens[i]).x <= 0
+    and the normalisation sum x = 1 ("eq") or sum x <= 1 ("le")."""
+    b_ub = [0] * len(a_ub)
+    ones = [1] * len(c)
     if normalization == "eq":
-        return LPProblem(objective=c, a_ub=a_ub, b_ub=b_ub,
-                         a_eq=[ones], b_eq=[Fraction(1)])
-    return LPProblem(objective=c, a_ub=a_ub + [ones],
-                     b_ub=b_ub + [Fraction(1)])
+        return LPProblem.from_ints(c, c_den, a_ub, b_ub, dens,
+                                   a_eq=[ones], b_eq=[1], eq_den=[1])
+    return LPProblem.from_ints(c, c_den, a_ub + [ones], b_ub + [1], dens + [1])
 
 
 def single_copy(d=DINF, form: str | None = None,
@@ -305,16 +301,12 @@ def build_dual(n: int) -> LPProblem:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    nv = n + 2  # z, delta_0 .. delta_n
-    c = [Fraction(-1)] + [Fraction(0)] * (n + 1)
-    a_ub = []
-    b_ub = []
-    for m in range(n + 1):
-        row = [Fraction(-1)] + [Fraction(dual_coeff(n, m, k)) for k in range(n + 1)]
-        a_ub.append(row)
-        b_ub.append(Fraction(-((-1) ** m * 2 ** m), 2 ** n))
-    return LPProblem(objective=c, a_ub=a_ub, b_ub=b_ub,
-                     nonneg=[True] * nv)
+    # rows over 2^n: -z + sum_k coeff(n,m,k) delta_k <= -(-2)^m / 2^n
+    c = [-1] + [0] * (n + 1)
+    a_ub = [[-2 ** n] + [2 ** n * dual_coeff(n, m, k) for k in range(n + 1)]
+            for m in range(n + 1)]
+    b_ub = [-(-2) ** m for m in range(n + 1)]
+    return LPProblem.from_ints(c, 1, a_ub, b_ub, [2 ** n] * (n + 1))
 
 
 class DualBound(NamedTuple):
@@ -336,10 +328,12 @@ def build_unreduced(n: int, d=DINF, form: str | None = None,
                     corner: str = "derived") -> LPProblem:
     """The same programme over all strings, without symmetry reduction."""
     symbols, weights, rows, normalization = single_copy(d, form, corner)
-    s = len(symbols)
-    strings = list(product(range(s), repeat=n))
-    c = [prod((weights[y] for y in w), start=Fraction(1)) for w in strings]
-    a_ub = [[-prod((rows[r][y] for r, y in zip(rpat, w)), start=Fraction(1))
-             for w in strings]
-            for rpat in product(range(len(rows)), repeat=n)]
-    return _normalized_lp(c, a_ub, normalization)
+    strings = list(product(range(len(symbols)), repeat=n))
+    weights, weight_den = _lowest_terms(weights)
+    scaled = [_lowest_terms(row) for row in rows]
+    c = [prod(weights[y] for y in w) for w in strings]
+    patterns = list(product(scaled, repeat=n))
+    a_ub = [[-prod(nums[y] for (nums, _), y in zip(rpat, w)) for w in strings]
+            for rpat in patterns]
+    dens = [prod(den for _, den in rpat) for rpat in patterns]
+    return _normalized_lp(c, weight_den ** n, a_ub, dens, normalization)

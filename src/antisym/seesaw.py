@@ -1,10 +1,10 @@
 """Floating-point see-saw oracle for the maximum purity.
 
 This is the only module whose floating-point results are reported (the
-simplex's float basis guess only steers exact pivoting).  It produces a
-certified *lower* bound on the maximum purity of the A-side reduction over
-unit vectors in the n-fold tensor power of the antisymmetric pair subspace,
-for cross-validation against the exact LP upper bounds.
+simplex's float basis guess only steers exact pivoting).  Its result is a
+floating-point estimate from below, not certified (see ROADMAP item 7, exact
+sandwich), of the maximum purity of the A-side reduction over unit vectors in
+the n-fold tensor power of the antisymmetric pair subspace; cf. the LP bounds.
 
 A state is m^n coefficients over products of the m = d(d-1)/2 pair vectors
 (e_i e_j - e_j e_i)/sqrt(2), i < j.  The isometry onto (d^n, d^n) amplitude

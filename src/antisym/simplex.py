@@ -1,6 +1,7 @@
 """Exact rational simplex with primal and dual certificates.
 
-Problems are maximisations over rational data:
+Problems are maximisations over rational data, held as int rows over one
+denominator each (``LPProblem``):
 
     max c.x   s.t.   A_ub x <= b_ub,  A_eq x = b_eq,  x_j >= 0 (flagged)
 
@@ -23,20 +24,21 @@ out after each pivot), which bounds entry growth by subdeterminant sizes
 instead of letting rational numerators and denominators compound; the
 objective row is held as integers over one positive denominator.  Every
 optimal solution is returned together with a dual vector, and the pair is
-certified exactly (feasibility both sides, zero duality gap, complementary
-slackness) before being handed back; a certification failure is a bug and
-raises.
+certified exactly in integers (feasibility both sides, zero duality gap,
+complementary slackness) before being handed back; a certification failure
+is a bug and raises.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 
 import numpy as np
 
-from .linalg import _frac
+from .linalg import _frac, _lowest_terms
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -54,23 +56,38 @@ class SolverError(RuntimeError):
     """Internal certification failure; indicates a solver bug."""
 
 
+def _lowest_rows(rows: list, rhs: list, dens: list[int] | None) -> tuple:
+    """Rows, right-hand sides and denominators (default 1), in lowest terms."""
+    out = [_lowest_terms([*row, b], den) for row, b, den
+           in zip(rows, rhs, [1] * len(rows) if dens is None else dens)]
+    return [r[:-1] for r, _ in out], [r[-1] for r, _ in out], [d for _, d in out]
+
+
 @dataclass
 class LPProblem:
-    """max objective.x subject to ub rows, eq rows and sign constraints."""
-    objective: list[Fraction]
-    a_ub: list[list[Fraction]] = field(default_factory=list)
-    b_ub: list[Fraction] = field(default_factory=list)
-    a_eq: list[list[Fraction]] = field(default_factory=list)
-    b_eq: list[Fraction] = field(default_factory=list)
+    """max objective.x subject to ub rows, eq rows and sign constraints.
+
+    As in ``linalg.SparseRMatrix``, the objective is stored as int numerators
+    over one positive ``obj_den`` and ub row i with its right-hand side over
+    one positive ``ub_den[i]`` (eq rows likewise), in lowest terms:
+    ``gcd(den, rhs, *row) == 1``.  Entries may be given as ints or Fractions
+    (denominators default to 1); ``__post_init__`` canonicalises both."""
+    objective: list[int]
+    a_ub: list[list[int]] = field(default_factory=list)
+    b_ub: list[int] = field(default_factory=list)
+    a_eq: list[list[int]] = field(default_factory=list)
+    b_eq: list[int] = field(default_factory=list)
     nonneg: list[bool] | None = None   # default: all variables nonnegative
+    obj_den: int = 1
+    ub_den: list[int] | None = None
+    eq_den: list[int] | None = None
 
     def __post_init__(self):
-        self.objective = [_frac(v) for v in self.objective]
         n = len(self.objective)
-        self.a_ub = [[_frac(v) for v in row] for row in self.a_ub]
-        self.a_eq = [[_frac(v) for v in row] for row in self.a_eq]
-        self.b_ub = [_frac(v) for v in self.b_ub]
-        self.b_eq = [_frac(v) for v in self.b_eq]
+        for v in chain(self.objective, *self.a_ub, *self.a_eq, self.b_ub,
+                       self.b_eq):
+            if not isinstance(v, int):
+                _frac(v)    # raises TypeError unless v is a Fraction
         if self.nonneg is None:
             self.nonneg = [True] * n
         if any(len(r) != n for r in self.a_ub) or any(len(r) != n for r in self.a_eq):
@@ -79,6 +96,20 @@ class LPProblem:
             raise ValueError("constraint/right-hand-side count mismatch")
         if len(self.nonneg) != n:
             raise ValueError("nonneg flag count mismatch")
+        self.objective, self.obj_den = _lowest_terms(self.objective,
+                                                     self.obj_den)
+        self.a_ub, self.b_ub, self.ub_den = _lowest_rows(self.a_ub, self.b_ub,
+                                                         self.ub_den)
+        self.a_eq, self.b_eq, self.eq_den = _lowest_rows(self.a_eq, self.b_eq,
+                                                         self.eq_den)
+
+    @classmethod
+    def from_ints(cls, objective: list[int], obj_den: int, a_ub=(), b_ub=(),
+                  ub_den=(), a_eq=(), b_eq=(), eq_den=(), nonneg=None):
+        """The problem from int numerators over positive int denominators:
+        ``objective / obj_den`` and row i over ``ub_den[i]`` or ``eq_den[i]``."""
+        return cls(objective, a_ub, b_ub, a_eq, b_eq, nonneg, obj_den, ub_den,
+                   eq_den)
 
     @property
     def num_vars(self) -> int:
@@ -97,48 +128,52 @@ class LPSolution:
 
 def _certify(lp: LPProblem, x: list[Fraction], y_ub: list[Fraction],
              y_eq: list[Fraction]) -> Fraction:
-    """Exact optimality certificate; returns the common objective value."""
-    n = lp.num_vars
+    """Exact optimality certificate; returns the common objective value.
+
+    In ints: x over the lcm of its denominators and y_i / den_i over the lcm
+    of theirs; those positive scales keep every sign and zero tested here."""
+    xs, x_den = _lowest_terms(x)
     slacks_ub = []
     for row, b in zip(lp.a_ub, lp.b_ub):
-        s = b - sum(a * v for a, v in zip(row, x))
+        s = b * x_den - sum(a * v for a, v in zip(row, xs))
         if s < 0:
             raise SolverError("primal ub row violated")
         slacks_ub.append(s)
     for row, b in zip(lp.a_eq, lp.b_eq):
-        if sum(a * v for a, v in zip(row, x)) != b:
+        if sum(a * v for a, v in zip(row, xs)) != b * x_den:
             raise SolverError("primal eq row violated")
-    for v, nn in zip(x, lp.nonneg):
+    for v, nn in zip(xs, lp.nonneg):
         if nn and v < 0:
             raise SolverError("primal sign constraint violated")
     if any(y < 0 for y in y_ub):
         raise SolverError("dual sign constraint violated")
     # most duals are zero (3 of 45 rows for full3 at d=8 n=8): sum the rest
-    ub = [(i, y) for i, y in enumerate(y_ub) if y]
-    eq = [(i, y) for i, y in enumerate(y_eq) if y]
-    reduced = []
-    for j in range(n):
-        r = (sum(y * lp.a_ub[i][j] for i, y in ub)
-             + sum(y * lp.a_eq[i][j] for i, y in eq)
-             - lp.objective[j])
-        if lp.nonneg[j]:
+    duals = [(y / den, row, b) for y, den, row, b in
+             zip(y_ub + y_eq, lp.ub_den + lp.eq_den, lp.a_ub + lp.a_eq,
+                 lp.b_ub + lp.b_eq) if y]
+    ws, y_den = _lowest_terms([w for w, _, _ in duals])
+    weighted = [0] * lp.num_vars
+    for w, (_, row, _) in zip(ws, duals):
+        weighted = [acc + w * a for acc, a in zip(weighted, row)]
+    dual = sum(w * b for w, (_, _, b) in zip(ws, duals))
+    reduced = [lp.obj_den * acc - y_den * c
+               for acc, c in zip(weighted, lp.objective)]
+    for r, nn in zip(reduced, lp.nonneg):
+        if nn:
             if r < 0:
                 raise SolverError("dual row violated")
         elif r != 0:
             raise SolverError("dual equality (free variable) violated")
-        reduced.append(r)
-    primal = sum(c * v for c, v in zip(lp.objective, x))
-    dual = (sum(y * b for y, b in zip(y_ub, lp.b_ub))
-            + sum(y * b for y, b in zip(y_eq, lp.b_eq)))
-    if primal != dual:
+    primal = sum(c * v for c, v in zip(lp.objective, xs))
+    if primal * y_den != dual * lp.obj_den * x_den:
         raise SolverError("nonzero duality gap")
     for y, s in zip(y_ub, slacks_ub):
-        if y * s != 0:
+        if y and s:
             raise SolverError("complementary slackness (rows) violated")
-    for v, r in zip(x, reduced):
-        if v * r != 0:
+    for v, r in zip(xs, reduced):
+        if v and r:
             raise SolverError("complementary slackness (columns) violated")
-    return primal
+    return Fraction(primal, lp.obj_den * x_den)
 
 
 class _Tableau:
@@ -174,26 +209,17 @@ class _Tableau:
             self.obj = [v // g for v in self.obj]
             self.obj_den //= g
 
-    def set_objective(self, cost: list[Fraction]) -> None:
-        """Install reduced costs z_j - c_j for the current basis."""
-        zc = []
-        for j in range(self.num_cols):
-            total = -cost[j]
-            for r, b in enumerate(self.basis):
-                cb = cost[b]
-                if cb != 0 and self.rows[r][j] != 0:
-                    total += cb * Fraction(self.rows[r][j],
-                                           self.rows[r][b])
-            zc.append(total)
-        den = lcm(*(v.denominator for v in zc)) if zc else 1
-        self.obj = [int(v * den) for v in zc]
-        self.obj_den = den
-
-    def reduced_cost(self, j: int) -> Fraction:
-        return Fraction(self.obj[j], self.obj_den)
-
-    def basic_value(self, r: int) -> Fraction:
-        return Fraction(self.rhs[r], self.rows[r][self.basis[r]])
+    def set_objective(self, cost: list[int], den: int) -> None:
+        """Install reduced costs z_j - c_j for the current basis, where the
+        costs are c_j = cost[j] / den."""
+        basic = [(cost[b], r) for r, b in enumerate(self.basis) if cost[b]]
+        scale = lcm(*(self.rows[r][self.basis[r]] for _, r in basic))
+        self.obj = [-c * scale for c in cost]
+        for cb, r in basic:
+            f = cb * (scale // self.rows[r][self.basis[r]])
+            self.obj = [v + f * a for v, a in zip(self.obj, self.rows[r])]
+        self.obj_den = den * scale
+        self._reduce_obj()
 
     def pivot(self, r: int, j: int) -> None:
         if self.rows[r][j] < 0:
@@ -306,7 +332,7 @@ def _max_abs(x: np.ndarray, axis=None) -> np.ndarray:
     return np.where(top > 0, top, 1.0)
 
 
-def _float_basis(rows: list[list[int]], rhs: list[int], cost: list[Fraction],
+def _float_basis(rows: list[list[int]], rhs: list[int], cost: list[float],
                  basis: list[int]) -> list[int]:
     """Floating-point guess of an optimal basis of the standard form.
 
@@ -379,7 +405,6 @@ def _float_solve(a: np.ndarray, b: np.ndarray, c: np.ndarray,
 def simplex_solve(lp: LPProblem) -> LPSolution:
     """Solve exactly; statuses are optimal, infeasible or unbounded."""
     n = lp.num_vars
-    zero = Fraction(0)
 
     # Split free variables x = u - v with u, v >= 0.
     free_of: dict[int, int] = {}
@@ -388,57 +413,42 @@ def simplex_solve(lp: LPProblem) -> LPSolution:
             free_of[j] = n + len(free_of)
     width = n + len(free_of)
 
-    def expand(row: list[Fraction]) -> list[Fraction]:
-        ext = list(row) + [zero] * len(free_of)
+    def expand(row: list[int]) -> list[int]:
+        ext = row + [0] * len(free_of)
         for j, jj in free_of.items():
             ext[jj] = -row[j]
         return ext
 
-    def integerise(row: list[Fraction], b: Fraction) -> tuple[list[int], int, int]:
-        scale = lcm(*(v.denominator for v in row + [b]))
-        return [int(v * scale) for v in row], int(b * scale), scale
-
     cost_full = expand(lp.objective)
 
     m_ub = len(lp.a_ub)
-    m_eq = len(lp.a_eq)
-    m = m_ub + m_eq
+    m = m_ub + len(lp.a_eq)
     num_cols = width + m_ub  # structural + slack; artificials appended after
     rows: list[list[int]] = []
     rhs: list[int] = []
-    signs: list[int] = []
-    scales: list[int] = []
-    for i in range(m):
-        if i < m_ub:
-            raw, b = expand(lp.a_ub[i]), lp.b_ub[i]
-        else:
-            raw, b = expand(lp.a_eq[i - m_ub]), lp.b_eq[i - m_ub]
-        int_row, int_b, scale = integerise(raw, b)
-        int_row += [0] * m_ub
-        if i < m_ub:
-            int_row[width + i] = 1
-        sign = 1
-        if int_b < 0:
-            int_row = [-v for v in int_row]
-            int_b, sign = -int_b, -1
-        rows.append(int_row)
-        rhs.append(int_b)
-        signs.append(sign)
-        scales.append(scale)
-
+    dens: list[int] = []    # row denominators, negated on rows flipped below
     # Initial basis: positive slacks where available, artificials elsewhere.
     basis = [-1] * m
-    id_col = [-1] * m
-    art_cols: list[int] = []
-    for i in range(m):
-        if i < m_ub and signs[i] > 0:
+    for i, (row, b, den) in enumerate(zip(lp.a_ub + lp.a_eq, lp.b_ub + lp.b_eq,
+                                          lp.ub_den + lp.eq_den)):
+        int_row = expand(row) + [0] * m_ub
+        if i < m_ub:
+            int_row[width + i] = 1
+        if b < 0:
+            int_row = [-v for v in int_row]
+            b, den = -b, -den
+        elif i < m_ub:
             basis[i] = width + i
-            id_col[i] = width + i
+        rows.append(int_row)
+        rhs.append(b)
+        dens.append(den)
     try:    # the guess only steers pricing, so a failed one is dropped
-        prefer = set(_float_basis(rows, rhs, cost_full + [zero] * m_ub,
-                                  basis)).intersection(range(num_cols))
+        prefer = set(_float_basis(
+            rows, rhs, [c / lp.obj_den for c in cost_full] + [0.0] * m_ub,
+            basis)).intersection(range(num_cols))
     except (ArithmeticError, ValueError):   # overflow to float, empty LP
         prefer = set()
+    art_cols: list[int] = []
     for i in range(m):
         if basis[i] < 0:
             col = num_cols + len(art_cols)
@@ -446,20 +456,16 @@ def simplex_solve(lp: LPProblem) -> LPSolution:
             for r in range(m):
                 rows[r].append(1 if r == i else 0)
             basis[i] = col
-            id_col[i] = col
+    id_col = list(basis)    # row i's identity column
     total_cols = num_cols + len(art_cols)
-    for i in range(m):
-        if len(rows[i]) < total_cols:
-            rows[i].extend([0] * (total_cols - len(rows[i])))
 
     tab = _Tableau(rows, rhs, basis, total_cols, prefer)
     barred: set[int] = set()
 
     if art_cols:
         art_set = set(art_cols)
-        phase1 = [Fraction(-1) if j in art_set else zero
-                  for j in range(total_cols)]
-        tab.set_objective(phase1)
+        tab.set_objective([-1 if j in art_set else 0
+                           for j in range(total_cols)], 1)
         if tab.run(barred) != OPTIMAL:
             raise SolverError("phase one cannot be unbounded")
         for r in range(m):
@@ -474,28 +480,26 @@ def simplex_solve(lp: LPProblem) -> LPSolution:
                         break
         barred = art_set
 
-    phase2 = cost_full + [zero] * (m_ub + len(art_cols))
-    tab.set_objective(phase2)
+    tab.set_objective(cost_full + [0] * (m_ub + len(art_cols)), lp.obj_den)
     if tab.run(barred) == UNBOUNDED:
         return LPSolution(status=UNBOUNDED)
 
     # Primal solution.
-    x_ext = [zero] * width
+    x_ext = [Fraction(0)] * width
     for r, b in enumerate(tab.basis):
         if b < width:
-            x_ext[b] = tab.basic_value(r)
+            x_ext[b] = Fraction(tab.rhs[r], tab.rows[r][b])
     x = list(x_ext[:n])
     for j, jj in free_of.items():
         x[j] = x_ext[j] - x_ext[jj]
 
     # Dual solution read off the per-row identity columns, undoing the
-    # row scaling and sign normalisation applied during setup.
-    y = [signs[i] * scales[i] * tab.reduced_cost(id_col[i]) for i in range(m)]
+    # sign normalisation applied during setup and the row denominators.
+    y = [Fraction(den * tab.obj[j], tab.obj_den)
+         for den, j in zip(dens, id_col)]
     y_ub = y[:m_ub]
     y_eq = y[m_ub:]
 
-    value = _certify(lp, x, y_ub, y_eq)
-    dual_value = (sum(a * b for a, b in zip(y_ub, lp.b_ub))
-                  + sum(a * b for a, b in zip(y_eq, lp.b_eq)))
+    value = _certify(lp, x, y_ub, y_eq)     # checks the dual value equals it
     return LPSolution(status=OPTIMAL, x=x, value=value, y_ub=y_ub, y_eq=y_eq,
-                      dual_value=dual_value)
+                      dual_value=value)

@@ -43,6 +43,62 @@ BEALE = LPProblem(objective=[F(3, 4), -20, F(1, 2), -6],
                   b_ub=[0, 0, 1])
 
 
+def reference_certify(lp, x, y_ub, y_eq):
+    """The certificate in Fractions, on Fraction rows rebuilt from the stored
+    int numerators and denominators: the independent reference for the int
+    ``simplex._certify``, with the same checks, order and messages."""
+    SolverError = simplex.SolverError
+    objective = [F(c, lp.obj_den) for c in lp.objective]
+    a_ub = [[F(a, den) for a in row] for row, den in zip(lp.a_ub, lp.ub_den)]
+    b_ub = [F(b, den) for b, den in zip(lp.b_ub, lp.ub_den)]
+    a_eq = [[F(a, den) for a in row] for row, den in zip(lp.a_eq, lp.eq_den)]
+    b_eq = [F(b, den) for b, den in zip(lp.b_eq, lp.eq_den)]
+    slacks_ub = []
+    for row, b in zip(a_ub, b_ub):
+        s = b - sum(a * v for a, v in zip(row, x))
+        if s < 0:
+            raise SolverError("primal ub row violated")
+        slacks_ub.append(s)
+    for row, b in zip(a_eq, b_eq):
+        if sum(a * v for a, v in zip(row, x)) != b:
+            raise SolverError("primal eq row violated")
+    for v, nn in zip(x, lp.nonneg):
+        if nn and v < 0:
+            raise SolverError("primal sign constraint violated")
+    if any(y < 0 for y in y_ub):
+        raise SolverError("dual sign constraint violated")
+    reduced = []
+    for j in range(lp.num_vars):
+        r = (sum(y * row[j] for y, row in zip(y_ub, a_ub))
+             + sum(y * row[j] for y, row in zip(y_eq, a_eq))
+             - objective[j])
+        if lp.nonneg[j]:
+            if r < 0:
+                raise SolverError("dual row violated")
+        elif r != 0:
+            raise SolverError("dual equality (free variable) violated")
+        reduced.append(r)
+    primal = sum(c * v for c, v in zip(objective, x))
+    dual = (sum(y * b for y, b in zip(y_ub, b_ub))
+            + sum(y * b for y, b in zip(y_eq, b_eq)))
+    if primal != dual:
+        raise SolverError("nonzero duality gap")
+    for y, s in zip(y_ub, slacks_ub):
+        if y * s != 0:
+            raise SolverError("complementary slackness (rows) violated")
+    for v, r in zip(x, reduced):
+        if v * r != 0:
+            raise SolverError("complementary slackness (columns) violated")
+    return primal
+
+
+def certified(lp, sol):
+    """The int certificate of ``sol``, checked against the reference."""
+    value = simplex._certify(lp, sol.x, sol.y_ub, sol.y_eq)
+    assert value == reference_certify(lp, sol.x, sol.y_ub, sol.y_eq)
+    return value
+
+
 def solve_with_guess(lp, guess=None):
     """Solve with the float guess replaced by ``guess`` (a list or an
     exception instance; None keeps the real guess), counting exact pivots."""
@@ -94,7 +150,7 @@ def test_limit_programme_guided_equals_unguided(n):
     guided = simplex_solve(lp)
     assert_same(guided, unguided(lp))
     if n in LIMIT_GOLDEN:
-        assert guided.value == LIMIT_GOLDEN[n]
+        assert guided.value == LIMIT_GOLDEN[n] == certified(lp, guided)
 
 
 @pytest.mark.parametrize("key", sorted(FULL3_GOLDEN))
@@ -104,7 +160,7 @@ def test_full3_guided_equals_unguided(key):
     guided, guided_pivots = solve_with_guess(lp)
     plain, plain_pivots = solve_with_guess(lp, [])
     assert_same(guided, plain)
-    assert guided.value == FULL3_GOLDEN[key]
+    assert guided.value == FULL3_GOLDEN[key] == certified(lp, guided)
     if n >= 7:      # the guess is in use: degenerate pivoting is cut
         assert guided_pivots * 5 < plain_pivots
 
@@ -126,7 +182,7 @@ def test_guessed_columns_are_rearmed_after_each_strict_improvement(
     # 638 exact pivots on these programmes
     lp = build()
     sol, pivots = solve_with_guess(lp)
-    assert sol.value == golden == sol.dual_value
+    assert sol.value == golden == sol.dual_value == certified(lp, sol)
     assert pivots < budget
 
 
@@ -134,7 +190,7 @@ def test_full3_d5_n12_certifies():
     lp = build_purity_bound(12, 5, form="full3").to_lp()
     sol = simplex_solve(lp)
     assert sol.value == FULL3_D5_N12 == sol.dual_value
-    assert simplex._certify(lp, sol.x, sol.y_ub, sol.y_eq) == FULL3_D5_N12
+    assert certified(lp, sol) == FULL3_D5_N12
 
 
 def record_runs(lp, guess):
@@ -225,7 +281,7 @@ def test_stalled_guess_is_retried_on_a_perturbed_rhs():
     patch, attempts = spy_on("_float_solve")
     with patch:
         sol, pivots = solve_with_guess(lp)
-    assert sol.value == FULL3_D4_N12 == sol.dual_value
+    assert sol.value == FULL3_D4_N12 == sol.dual_value == certified(lp, sol)
     assert attempts[0] == [] and attempts[1]
     assert pivots < 1000
 
@@ -301,3 +357,78 @@ def test_status_and_optimum_never_depend_on_the_preference(lp, guess):
     plain = unguided(lp)
     assert_same(simplex_solve(lp), plain)
     assert_same(solve_with_guess(lp, guess)[0], plain)
+
+
+def perturbed(sol, data):
+    """x, y_ub and y_eq of ``sol`` with one numerator moved by +-1."""
+    vectors = [list(sol.x), list(sol.y_ub), list(sol.y_eq)]
+    which = data.draw(st.sampled_from([k for k in range(3) if vectors[k]]))
+    i = data.draw(st.integers(min_value=0, max_value=len(vectors[which]) - 1))
+    v = vectors[which][i]
+    vectors[which][i] = F(v.numerator + data.draw(st.sampled_from([-1, 1])),
+                          v.denominator)
+    return vectors
+
+
+def outcome(certify, lp, vectors):
+    try:
+        return certify(lp, *vectors)
+    except simplex.SolverError as exc:
+        return f"SolverError: {exc}"
+
+
+@pytest.fixture(scope="module")
+def solved_goldens():
+    lps = {"beale": BEALE, "limit-8": build_purity_bound(8).to_lp(),
+           "full3-d4-n4": build_purity_bound(4, 4, form="full3").to_lp(),
+           "full3-d6-n8-even": build_purity_bound(8, 6, "even",
+                                                  "full3").to_lp(),
+           "dual-12": build_dual(12)}
+    return [(lp, simplex_solve(lp)) for _, lp in sorted(lps.items())]
+
+
+@given(st.integers(min_value=0, max_value=4), st.data())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_certificate_agrees_with_the_reference_on_perturbed_goldens(
+        solved_goldens, k, data):
+    lp, sol = solved_goldens[k]
+    vectors = perturbed(sol, data)
+    assert (outcome(simplex._certify, lp, vectors)
+            == outcome(reference_certify, lp, vectors))
+
+
+fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def bounded_lps(draw):
+    """Rational LPs with an optimum: every row holds at a drawn point x0, and
+    box rows |x_j| <= 3 bound the feasible set."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    nonneg = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    x0 = [draw(st.integers(min_value=0 if nn else -2, max_value=2))
+          for nn in nonneg]
+    row = st.lists(fractions, min_size=n, max_size=n)
+    a_ub = draw(st.lists(row, max_size=3))
+    a_eq = draw(st.lists(row, max_size=2))
+    b_ub = [sum(a * v for a, v in zip(r, x0))
+            + draw(st.fractions(min_value=0, max_value=2, max_denominator=3))
+            for r in a_ub]
+    for j in range(n):
+        for sign in (1, -1):
+            a_ub.append([sign * (i == j) for i in range(n)])
+            b_ub.append(3)
+    return LPProblem(objective=draw(row), a_ub=a_ub, b_ub=b_ub, a_eq=a_eq,
+                     b_eq=[sum(a * v for a, v in zip(r, x0)) for r in a_eq],
+                     nonneg=nonneg)
+
+
+@given(bounded_lps(), st.data())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_certificate_agrees_with_the_reference_on_random_lps(lp, data):
+    sol = simplex_solve(lp)
+    assert sol.status == "optimal"
+    assert certified(lp, sol) == sol.value
+    vectors = perturbed(sol, data)
+    assert (outcome(simplex._certify, lp, vectors)
+            == outcome(reference_certify, lp, vectors))

@@ -2,13 +2,14 @@
 
 import math
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from antisym.programs import (DINF, SymLP, analytic_dual_point,
-                              build_purity_bound, build_unreduced,
+                              build_dual, build_purity_bound, build_unreduced,
                               compositions, drop_first_row, dual_coeff,
                               multinomial, single_copy, solve_dual,
                               solve_purity_bound, substitute_tail_masses,
@@ -49,6 +50,15 @@ def reference_row_polynomial(prog, row_type):
     return poly
 
 
+def reference_objective_coeff(prog, t):
+    """prod_y weights[y]^(t_y), the objective weight of variable type t."""
+    out = F(1)
+    for w, c in zip(prog.weights, t):
+        if c:
+            out *= w ** c
+    return out
+
+
 def reference_to_lp(prog):
     index = {t: i for i, t in enumerate(prog.types)}
     nv = len(prog.types)
@@ -60,7 +70,7 @@ def reference_to_lp(prog):
                 row[index[t]] = -coeff / multinomial(t)
         a_ub.append(row)
         b_ub.append(F(0))
-    c = [prog.objective_coeff(t) for t in prog.types]
+    c = [reference_objective_coeff(prog, t) for t in prog.types]
     ones = [F(1)] * nv
     if prog.normalization == "eq":
         return LPProblem(objective=c, a_ub=a_ub, b_ub=b_ub, a_eq=[ones],
@@ -112,7 +122,85 @@ def symmetric_programmes(draw):
 @given(symmetric_programmes())
 @settings(max_examples=200, deadline=None, derandomize=True)
 def test_assembly_matches_reference_on_random_data(prog):
-    assert prog.to_lp() == reference_to_lp(prog)
+    lp = prog.to_lp()
+    assert lp == reference_to_lp(prog)
+    assert_canonical(lp)
+
+
+# -- canonical integer storage of the assembled programmes ---------------------
+
+def reference_build_dual(n):
+    """The reduced dual from Fraction entries, term by term."""
+    a_ub = [[F(-1)] + [F(dual_coeff(n, m, k)) for k in range(n + 1)]
+            for m in range(n + 1)]
+    b_ub = [F(-((-1) ** m * 2 ** m), 2 ** n) for m in range(n + 1)]
+    return LPProblem(objective=[F(-1)] + [F(0)] * (n + 1), a_ub=a_ub,
+                     b_ub=b_ub)
+
+
+def reference_build_unreduced(n, d=DINF, form=None):
+    """The unreduced programme from Fraction products over all strings."""
+    symbols, weights, rows, normalization = single_copy(d, form)
+    strings = list(product(range(len(symbols)), repeat=n))
+    c = [math.prod((weights[y] for y in w), start=F(1)) for w in strings]
+    a_ub = [[-math.prod((rows[r][y] for r, y in zip(rpat, w)), start=F(1))
+             for w in strings]
+            for rpat in product(range(len(rows)), repeat=n)]
+    ones = [F(1)] * len(c)
+    if normalization == "eq":
+        return LPProblem(objective=c, a_ub=a_ub, b_ub=[F(0)] * len(a_ub),
+                         a_eq=[ones], b_eq=[F(1)])
+    return LPProblem(objective=c, a_ub=a_ub + [ones],
+                     b_ub=[F(0)] * len(a_ub) + [F(1)])
+
+
+def assert_canonical(lp):
+    """Every row and the objective in lowest terms over a positive int."""
+    assert lp.obj_den > 0 and math.gcd(lp.obj_den, *lp.objective) == 1
+    assert all(type(v) is int for v in lp.objective)
+    for rows, rhs, dens in ((lp.a_ub, lp.b_ub, lp.ub_den),
+                            (lp.a_eq, lp.b_eq, lp.eq_den)):
+        assert len(rows) == len(rhs) == len(dens)
+        for row, b, den in zip(rows, rhs, dens):
+            assert den > 0 and math.gcd(den, b, *row) == 1
+            assert all(type(v) is int for v in row + [b])
+
+
+def from_stored_rationals(lp):
+    """The same problem through the Fraction constructor, from the rationals
+    that ``lp`` stores."""
+    def rows(a, dens):
+        return [[F(v, den) for v in row] for row, den in zip(a, dens)]
+    return LPProblem(objective=[F(c, lp.obj_den) for c in lp.objective],
+                     a_ub=rows(lp.a_ub, lp.ub_den),
+                     b_ub=[F(b, den) for b, den in zip(lp.b_ub, lp.ub_den)],
+                     a_eq=rows(lp.a_eq, lp.eq_den),
+                     b_eq=[F(b, den) for b, den in zip(lp.b_eq, lp.eq_den)],
+                     nonneg=lp.nonneg)
+
+
+@pytest.mark.parametrize("build, reference", [
+    (lambda: build_purity_bound(8, 4, form="full3").to_lp(),
+     lambda: reference_to_lp(build_purity_bound(8, 4, form="full3"))),
+    (lambda: build_purity_bound(8, 6, "even", "full3").to_lp(),
+     lambda: reference_to_lp(build_purity_bound(8, 6, "even", "full3"))),
+    (lambda: build_purity_bound(12).to_lp(),
+     lambda: reference_to_lp(build_purity_bound(12))),
+    (lambda: build_dual(1), lambda: reference_build_dual(1)),
+    (lambda: build_dual(24), lambda: reference_build_dual(24)),
+    (lambda: build_unreduced(3, 4), lambda: reference_build_unreduced(3, 4)),
+    (lambda: build_unreduced(4), lambda: reference_build_unreduced(4)),
+    (lambda: build_unreduced(2, DINF, "full3"),
+     lambda: reference_build_unreduced(2, DINF, "full3")),
+], ids=["to_lp-full3-d4", "to_lp-full3-d6-even", "to_lp-truncated2",
+        "build_dual-1", "build_dual-24", "build_unreduced-d4",
+        "build_unreduced-truncated2", "build_unreduced-full3-dinf"])
+def test_int_storage_is_canonical_and_matches_the_fraction_constructor(
+        build, reference):
+    lp = build()
+    assert_canonical(lp)
+    assert lp == from_stored_rationals(lp) == reference()
+    assert_canonical(reference())
 
 
 def test_single_copy_data():

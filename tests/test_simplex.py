@@ -3,6 +3,7 @@
 from fractions import Fraction as F
 from itertools import combinations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -65,6 +66,72 @@ def test_negative_rhs_rows():
     # x >= 2 encoded as -x <= -2, maximise -x
     _, sol = solve([-1], a_ub=[[-1]], b_ub=[-2])
     assert sol.status == "optimal" and sol.x == [2]
+
+
+@pytest.mark.parametrize("kwargs, status, value", [
+    (dict(objective=[], a_ub=[[]], b_ub=[0]), "optimal", 0),
+    (dict(objective=[], a_ub=[[]], b_ub=[1]), "optimal", 0),
+    (dict(objective=[], a_ub=[[]], b_ub=[-1]), "infeasible", None),
+    (dict(objective=[], a_eq=[[]], b_eq=[0]), "optimal", 0),
+    (dict(objective=[], a_eq=[[]], b_eq=[-1]), "infeasible", None),
+    (dict(objective=[]), "optimal", 0),
+    (dict(objective=[-1, 0]), "optimal", 0),
+    (dict(objective=[0], nonneg=[False]), "optimal", 0),
+    (dict(objective=[1]), "unbounded", None),
+    (dict(objective=[-1], nonneg=[False]), "unbounded", None),
+    (dict(objective=[1, 1], a_ub=[[0, 0]], b_ub=[-1]), "infeasible", None),
+    (dict(objective=[-1], a_ub=[[0]], b_ub=[1]), "optimal", 0),
+    (dict(objective=[-1, -1], a_eq=[[0, 0]], b_eq=[0]), "optimal", 0),
+    (dict(objective=[1], a_eq=[[0]], b_eq=[1]), "infeasible", None),
+    (dict(objective=[1], a_ub=[[1]], b_ub=[2], a_eq=[[0]], b_eq=[0]),
+     "optimal", 2),
+    (dict(objective=[1], a_eq=[[3]], b_eq=[1], nonneg=[False]), "optimal",
+     F(1, 3)),
+    (dict(objective=[F(1, 2)], a_eq=[[F(-3, 2)]], b_eq=[F(1, 2)],
+          nonneg=[False]), "optimal", F(-1, 6)),
+], ids=["no-vars-b0", "no-vars-b1", "no-vars-b-neg", "no-vars-eq0",
+        "no-vars-eq-neg", "nothing", "no-rows-optimal", "no-rows-free",
+        "no-rows-unbounded", "no-rows-free-unbounded", "zero-ub-row-b-neg",
+        "zero-ub-row", "zero-eq-row", "zero-eq-row-b1", "zero-eq-row-with-ub",
+        "free-only-eq", "free-only-eq-rational"])
+def test_edge_case_statuses(kwargs, status, value):
+    sol = simplex_solve(LPProblem(**kwargs))
+    assert sol.status == status
+    assert sol.value == value
+    if status == "optimal":
+        assert sol.dual_value == value
+        assert len(sol.y_ub) == len(kwargs.get("a_ub", []))
+        assert len(sol.y_eq) == len(kwargs.get("a_eq", []))
+
+
+@pytest.mark.parametrize("kwargs, error, message", [
+    (dict(objective=[1.0]), TypeError, "got float"),
+    (dict(objective=[1], a_ub=[[0.5]], b_ub=[1]), TypeError, "got float"),
+    (dict(objective=[1], a_ub=[[1]], b_ub=[1.0]), TypeError, "got float"),
+    (dict(objective=["1"]), TypeError, "got str"),
+    (dict(objective=[1], a_ub=[[1, 2]], b_ub=[1]), ValueError, "row length"),
+    (dict(objective=[1], a_ub=[[1]], b_ub=[1, 2]), ValueError, "count"),
+    (dict(objective=[1], a_eq=[[1]], b_eq=[]), ValueError, "count"),
+    (dict(objective=[1], nonneg=[True, False]), ValueError, "nonneg"),
+    (dict(objective=[1], a_ub=[[1, 2]], b_ub=[]), ValueError, "row length"),
+    (dict(objective=[1], a_ub=[[1]], b_ub=[1, 2.0]), TypeError, "got float"),
+])
+def test_constructor_rejects_bad_data(kwargs, error, message):
+    with pytest.raises(error, match=message):
+        LPProblem(**kwargs)
+
+
+def test_from_ints_stores_lowest_terms():
+    # objective (4/6, 2/6); rows (2x + 4y <= 6)/4 and (3x = 9)/3
+    lp = LPProblem.from_ints([4, 2], 6, [[2, 4]], [6], [4], [[3, 0]], [9],
+                             [3])
+    assert (lp.objective, lp.obj_den) == ([2, 1], 3)
+    assert (lp.a_ub, lp.b_ub, lp.ub_den) == ([[1, 2]], [3], [2])
+    assert (lp.a_eq, lp.b_eq, lp.eq_den) == ([[1, 0]], [3], [1])
+    assert lp == LPProblem(objective=[F(2, 3), F(1, 3)],
+                           a_ub=[[F(1, 2), 1]], b_ub=[F(3, 2)],
+                           a_eq=[[1, 0]], b_eq=[3])
+    assert simplex_solve(lp).value == F(2, 3) * 3    # x = 3, y = 0
 
 
 def brute_force_value(c, a_ub, b_ub):
