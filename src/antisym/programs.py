@@ -132,9 +132,10 @@ def _normalized_lp(c: list[int], c_den: int, a_ub: list[list[int]],
     b_ub = [0] * len(a_ub)
     ones = [1] * len(c)
     if normalization == "eq":
-        return LPProblem.from_ints(c, c_den, a_ub, b_ub, dens,
-                                   a_eq=[ones], b_eq=[1], eq_den=[1])
-    return LPProblem.from_ints(c, c_den, a_ub + [ones], b_ub + [1], dens + [1])
+        return LPProblem(c, a_ub, b_ub, a_eq=[ones], b_eq=[1], obj_den=c_den,
+                         ub_den=dens)
+    return LPProblem(c, a_ub + [ones], b_ub + [1], obj_den=c_den,
+                     ub_den=dens + [1])
 
 
 def single_copy(d=DINF, form: str | None = None,
@@ -306,7 +307,7 @@ def build_dual(n: int) -> LPProblem:
     a_ub = [[-2 ** n] + [2 ** n * dual_coeff(n, m, k) for k in range(n + 1)]
             for m in range(n + 1)]
     b_ub = [-(-2) ** m for m in range(n + 1)]
-    return LPProblem.from_ints(c, 1, a_ub, b_ub, [2 ** n] * (n + 1))
+    return LPProblem(c, a_ub, b_ub, ub_den=[2 ** n] * (n + 1))
 
 
 class DualBound(NamedTuple):

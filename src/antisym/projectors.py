@@ -505,8 +505,9 @@ def overlap_closed_forms(d: int) -> OverlapTable:
 def ppt_overlap_table(d: int, method: str = "matrix") -> OverlapTable:
     """Overlap table computed from first principles (not the closed forms).
 
-    matrix: explicit exact matrices on the pair subspace; the partial
-    transpose acts on the second pair factor.  symbolic: cycle-count traces
+    matrix: the ``invariant_projectors`` (adjoint halved) paired with
+    explicit exact states on the pair subspace; the partial transpose acts
+    on the second pair factor.  symbolic: cycle-count traces
     using Phi^Gamma = F/d to reduce every entry to permutation traces.
     """
     if d < 3:
@@ -514,18 +515,15 @@ def ppt_overlap_table(d: int, method: str = "matrix") -> OverlapTable:
     cols = present_shapes(d)
     if method == "matrix":
         basis = PairBasis(d)
-        phi_phi = basis.restricted_phi_phi()
-        one_phi = basis.restricted_one_phi()
-        bell_op = phi_phi.scale(Fraction(2 * d, d - 1))
-        half_adjoint_op = (one_phi - phi_phi).scale(Fraction(2 * d, d - 2))
-        tail_op = basis.identity() - bell_op - half_adjoint_op
+        bell, adjoint, tail = invariant_projectors(d)
+        half_adjoint = adjoint.scale(Fraction(1, 2))
+        ops = (bell, half_adjoint, tail + half_adjoint)
         rows = [[], [], []]
         for shape in cols:
             rho = basis.restricted_element(young_state_element(shape, d))
             rho_pt = rho.partial_transpose((1,))
-            rows[0].append(rho_pt.trace_product(bell_op))
-            rows[1].append(rho_pt.trace_product(half_adjoint_op))
-            rows[2].append(rho_pt.trace_product(tail_op))
+            for row, op in zip(rows, ops):
+                row.append(rho_pt.trace_product(op))
     elif method == "symbolic":
         # tr(rho^G (Phi x Phi)) = tr(rho F_bothpairs)/d^2 and
         # tr(rho^G (1 x Phi)) = tr(rho (1 x F))/d, since transposing a
@@ -545,37 +543,11 @@ def ppt_overlap_table(d: int, method: str = "matrix") -> OverlapTable:
     return OverlapTable(d, cols, tuple(tuple(r) for r in rows))
 
 
-# -- PPT constraint matrices ---------------------------------------------------
+# -- PPT constraint matrix -----------------------------------------------------
 
 Rows = tuple[tuple[Fraction, ...], ...]
 
-
-class ConstraintMatrices(NamedTuple):
-    raw: Rows | None    # overlap rows as-is (None in the limit)
-    rescaled: Rows      # rows scaled by (d(d-1)/2, d, 1); finite limit
-
 CORNER_VARIANTS = ("derived", "alt")
-
-
-def limit_constraint_matrix() -> Rows:
-    """The d -> infinity limit of the rescaled constraint matrix."""
-    return tuple(tuple(Fraction(x) for x in row)
-                 for row in ((1, 1, -1), (-2, 1, 0), (1, 1, 1)))
-
-
-def ppt_constraint_matrices(d, corner: str = "derived") -> ConstraintMatrices:
-    """Constraint matrices of the symmetry-reduced PPT programme at d >= 4
-    (all three shapes present) or infinity.
-
-    The raw matrix holds the overlap table; the rescaled one is that of
-    ``constraint_columns``.
-    """
-    if d != DINF and (not isinstance(d, int) or d < 4):
-        raise ValueError("d must be an integer >= 4 (all three shapes present) "
-                         "or infinity")
-    _, rescaled = constraint_columns(d, corner)
-    raw = None if d == DINF else overlap_closed_forms(d).values
-    return ConstraintMatrices(raw, rescaled)
 
 
 def constraint_columns(d, corner: str = "derived"
@@ -593,8 +565,9 @@ def constraint_columns(d, corner: str = "derived"
     """
     if corner not in CORNER_VARIANTS:
         raise ValueError(f"corner must be one of {CORNER_VARIANTS}")
-    if d == DINF:
-        return YOUNG_SHAPES, limit_constraint_matrix()
+    if d == DINF:   # the d -> infinity limit of the rescaled rows
+        limit = ((1, 1, -1), (-2, 1, 0), (1, 1, 1))
+        return YOUNG_SHAPES, tuple(tuple(map(Fraction, r)) for r in limit)
     if not isinstance(d, int) or d < 3:
         raise ValueError("d must be an integer >= 3 or infinity")
     cols = present_shapes(d)

@@ -3,7 +3,7 @@
 Problems are maximisations over rational data, held as int rows over one
 denominator each (``LPProblem``):
 
-    max c.x   s.t.   A_ub x <= b_ub,  A_eq x = b_eq,  x_j >= 0 (flagged)
+    max c.x   s.t.   A_ub x <= b_ub,  A_eq x = b_eq,  x >= 0
 
 Two-phase method over exact integer tableaux with float-guided pricing.  A
 small dense floating-point simplex first solves the same standard form and
@@ -65,19 +65,19 @@ def _lowest_rows(rows: list, rhs: list, dens: list[int] | None) -> tuple:
 
 @dataclass
 class LPProblem:
-    """max objective.x subject to ub rows, eq rows and sign constraints.
+    """max objective.x subject to ub rows, eq rows and x >= 0.
 
     As in ``linalg.SparseRMatrix``, the objective is stored as int numerators
     over one positive ``obj_den`` and ub row i with its right-hand side over
     one positive ``ub_den[i]`` (eq rows likewise), in lowest terms:
     ``gcd(den, rhs, *row) == 1``.  Entries may be given as ints or Fractions
-    (denominators default to 1); ``__post_init__`` canonicalises both."""
+    over the denominators ``obj_den``, ``ub_den`` and ``eq_den`` (default 1);
+    ``__post_init__`` canonicalises them."""
     objective: list[int]
     a_ub: list[list[int]] = field(default_factory=list)
     b_ub: list[int] = field(default_factory=list)
     a_eq: list[list[int]] = field(default_factory=list)
     b_eq: list[int] = field(default_factory=list)
-    nonneg: list[bool] | None = None   # default: all variables nonnegative
     obj_den: int = 1
     ub_den: list[int] | None = None
     eq_den: list[int] | None = None
@@ -88,28 +88,22 @@ class LPProblem:
                        self.b_eq):
             if not isinstance(v, int):
                 _frac(v)    # raises TypeError unless v is a Fraction
-        if self.nonneg is None:
-            self.nonneg = [True] * n
         if any(len(r) != n for r in self.a_ub) or any(len(r) != n for r in self.a_eq):
             raise ValueError("constraint row length != number of variables")
         if len(self.a_ub) != len(self.b_ub) or len(self.a_eq) != len(self.b_eq):
             raise ValueError("constraint/right-hand-side count mismatch")
-        if len(self.nonneg) != n:
-            raise ValueError("nonneg flag count mismatch")
+        for dens, rows in ((self.ub_den, self.a_ub), (self.eq_den, self.a_eq)):
+            if dens is not None and len(dens) != len(rows):
+                raise ValueError("constraint/denominator count mismatch")
+        for den in chain([self.obj_den], self.ub_den or (), self.eq_den or ()):
+            if not isinstance(den, int) or den <= 0:
+                raise ValueError(f"denominator {den!r} is not a positive int")
         self.objective, self.obj_den = _lowest_terms(self.objective,
                                                      self.obj_den)
         self.a_ub, self.b_ub, self.ub_den = _lowest_rows(self.a_ub, self.b_ub,
                                                          self.ub_den)
         self.a_eq, self.b_eq, self.eq_den = _lowest_rows(self.a_eq, self.b_eq,
                                                          self.eq_den)
-
-    @classmethod
-    def from_ints(cls, objective: list[int], obj_den: int, a_ub=(), b_ub=(),
-                  ub_den=(), a_eq=(), b_eq=(), eq_den=(), nonneg=None):
-        """The problem from int numerators over positive int denominators:
-        ``objective / obj_den`` and row i over ``ub_den[i]`` or ``eq_den[i]``."""
-        return cls(objective, a_ub, b_ub, a_eq, b_eq, nonneg, obj_den, ub_den,
-                   eq_den)
 
     @property
     def num_vars(self) -> int:
@@ -123,7 +117,6 @@ class LPSolution:
     value: Fraction | None = None
     y_ub: list[Fraction] | None = None
     y_eq: list[Fraction] | None = None
-    dual_value: Fraction | None = None
 
 
 def _certify(lp: LPProblem, x: list[Fraction], y_ub: list[Fraction],
@@ -142,9 +135,8 @@ def _certify(lp: LPProblem, x: list[Fraction], y_ub: list[Fraction],
     for row, b in zip(lp.a_eq, lp.b_eq):
         if sum(a * v for a, v in zip(row, xs)) != b * x_den:
             raise SolverError("primal eq row violated")
-    for v, nn in zip(xs, lp.nonneg):
-        if nn and v < 0:
-            raise SolverError("primal sign constraint violated")
+    if any(v < 0 for v in xs):
+        raise SolverError("primal sign constraint violated")
     if any(y < 0 for y in y_ub):
         raise SolverError("dual sign constraint violated")
     # most duals are zero (3 of 45 rows for full3 at d=8 n=8): sum the rest
@@ -158,12 +150,8 @@ def _certify(lp: LPProblem, x: list[Fraction], y_ub: list[Fraction],
     dual = sum(w * b for w, (_, _, b) in zip(ws, duals))
     reduced = [lp.obj_den * acc - y_den * c
                for acc, c in zip(weighted, lp.objective)]
-    for r, nn in zip(reduced, lp.nonneg):
-        if nn:
-            if r < 0:
-                raise SolverError("dual row violated")
-        elif r != 0:
-            raise SolverError("dual equality (free variable) violated")
+    if any(r < 0 for r in reduced):
+        raise SolverError("dual row violated")
     primal = sum(c * v for c, v in zip(lp.objective, xs))
     if primal * y_den != dual * lp.obj_den * x_den:
         raise SolverError("nonzero duality gap")
@@ -405,25 +393,9 @@ def _float_solve(a: np.ndarray, b: np.ndarray, c: np.ndarray,
 def simplex_solve(lp: LPProblem) -> LPSolution:
     """Solve exactly; statuses are optimal, infeasible or unbounded."""
     n = lp.num_vars
-
-    # Split free variables x = u - v with u, v >= 0.
-    free_of: dict[int, int] = {}
-    for j, nn in enumerate(lp.nonneg):
-        if not nn:
-            free_of[j] = n + len(free_of)
-    width = n + len(free_of)
-
-    def expand(row: list[int]) -> list[int]:
-        ext = row + [0] * len(free_of)
-        for j, jj in free_of.items():
-            ext[jj] = -row[j]
-        return ext
-
-    cost_full = expand(lp.objective)
-
     m_ub = len(lp.a_ub)
     m = m_ub + len(lp.a_eq)
-    num_cols = width + m_ub  # structural + slack; artificials appended after
+    num_cols = n + m_ub  # structural + slack; artificials appended after
     rows: list[list[int]] = []
     rhs: list[int] = []
     dens: list[int] = []    # row denominators, negated on rows flipped below
@@ -431,20 +403,20 @@ def simplex_solve(lp: LPProblem) -> LPSolution:
     basis = [-1] * m
     for i, (row, b, den) in enumerate(zip(lp.a_ub + lp.a_eq, lp.b_ub + lp.b_eq,
                                           lp.ub_den + lp.eq_den)):
-        int_row = expand(row) + [0] * m_ub
+        int_row = row + [0] * m_ub
         if i < m_ub:
-            int_row[width + i] = 1
+            int_row[n + i] = 1
         if b < 0:
             int_row = [-v for v in int_row]
             b, den = -b, -den
         elif i < m_ub:
-            basis[i] = width + i
+            basis[i] = n + i
         rows.append(int_row)
         rhs.append(b)
         dens.append(den)
     try:    # the guess only steers pricing, so a failed one is dropped
         prefer = set(_float_basis(
-            rows, rhs, [c / lp.obj_den for c in cost_full] + [0.0] * m_ub,
+            rows, rhs, [c / lp.obj_den for c in lp.objective] + [0.0] * m_ub,
             basis)).intersection(range(num_cols))
     except (ArithmeticError, ValueError):   # overflow to float, empty LP
         prefer = set()
@@ -480,18 +452,15 @@ def simplex_solve(lp: LPProblem) -> LPSolution:
                         break
         barred = art_set
 
-    tab.set_objective(cost_full + [0] * (m_ub + len(art_cols)), lp.obj_den)
+    tab.set_objective(lp.objective + [0] * (m_ub + len(art_cols)), lp.obj_den)
     if tab.run(barred) == UNBOUNDED:
         return LPSolution(status=UNBOUNDED)
 
     # Primal solution.
-    x_ext = [Fraction(0)] * width
+    x = [Fraction(0)] * n
     for r, b in enumerate(tab.basis):
-        if b < width:
-            x_ext[b] = Fraction(tab.rhs[r], tab.rows[r][b])
-    x = list(x_ext[:n])
-    for j, jj in free_of.items():
-        x[j] = x_ext[j] - x_ext[jj]
+        if b < n:
+            x[b] = Fraction(tab.rhs[r], tab.rows[r][b])
 
     # Dual solution read off the per-row identity columns, undoing the
     # sign normalisation applied during setup and the row denominators.
@@ -501,5 +470,4 @@ def simplex_solve(lp: LPProblem) -> LPSolution:
     y_eq = y[m_ub:]
 
     value = _certify(lp, x, y_ub, y_eq)     # checks the dual value equals it
-    return LPSolution(status=OPTIMAL, x=x, value=value, y_ub=y_ub, y_eq=y_eq,
-                      dual_value=value)
+    return LPSolution(status=OPTIMAL, x=x, value=value, y_ub=y_ub, y_eq=y_eq)

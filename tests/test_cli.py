@@ -2,10 +2,13 @@
 
 import json
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 from antisym.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -86,6 +89,19 @@ def test_json_round_trip_and_determinism(capsys):
     assert F(int(exact["num"]), int(exact["den"])) == F(1, 7)
 
 
+@pytest.mark.parametrize("argv, name", [
+    (("lp", "primal", "--n", "2", "--d", "3", "--form", "full3"),
+     "lp_primal_n2_d3_full3"),
+    (("lp", "primal", "--n", "6", "--dinf"), "lp_primal_n6_dinf"),
+])
+@pytest.mark.parametrize("fmt, ext", [("text", "txt"), ("json", "json"),
+                                      ("csv", "csv")])
+def test_lp_primal_output_bytes(capsys, argv, name, fmt, ext):
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    assert (code, err) == (0, "")
+    assert out.encode() == (GOLDEN / f"{name}.{ext}").read_bytes()
+
+
 def test_csv_schema(capsys):
     code, out, _ = run(capsys, "bounds", "--d", "4", "--n", "8",
                        "--format", "csv")
@@ -160,6 +176,18 @@ def test_purity_sandwich(capsys):
                        "--restarts", "4", "--iters", "50", "--seed", "1")
     assert code == 0
     assert "sandwich_ok" in out
+
+
+def test_purity_row_is_labelled_an_uncertified_estimate(capsys):
+    # at d=4, n=1 the see-saw prints 0.5000000000000001 against the exact
+    # maximum 1/2: a floating-point estimate, not a certified lower bound
+    code, out, _ = run(capsys, "purity", "--d", "4", "--n", "1",
+                       "--format", "json")
+    assert code == 0
+    rows = {r["quantity"]: r for r in json.loads(out)["results"]}
+    assert rows["purity_seesaw"]["source"] == (
+        "see-saw estimate of the maximum purity (floating point, "
+        "not certified)")
 
 
 def test_purity_seed_reproducible_json(capsys):

@@ -9,11 +9,10 @@ from hypothesis import strategies as st
 from antisym import cli
 from antisym.linalg import SparseRMatrix
 from antisym.projectors import (DINF, S4, GroupAlgebraElement, PairBasis,
-                                Perm4, YOUNG_SHAPES,
+                                Perm4, YOUNG_SHAPES, constraint_columns,
                                 flip_overlaps, invariant_projectors,
-                                limit_constraint_matrix, overlap_closed_forms,
-                                pair_flip_signs, pair_projector_element,
-                                perm_operator, ppt_constraint_matrices,
+                                overlap_closed_forms, pair_flip_signs,
+                                pair_projector_element, perm_operator,
                                 ppt_overlap_table, present_shapes,
                                 reduced_pair_state, werner_mixture,
                                 young_projector, young_projector_element,
@@ -303,26 +302,27 @@ def test_overlap_examples():
 # -- constraint matrices ---------------------------------------------------------
 
 def test_constraint_matrix_values():
-    raw, rescaled = ppt_constraint_matrices(4)
-    assert raw[0] == (F(1, 6), F(1, 6), F(-1, 6))
+    assert overlap_closed_forms(4).values[0] == (F(1, 6), F(1, 6), F(-1, 6))
+    cols, rescaled = constraint_columns(4)
+    assert cols == YOUNG_SHAPES
     assert rescaled[0] == (F(1), F(1), F(-1))
     assert rescaled[1] == (F(-5), F(1), F(1))
-    assert ppt_constraint_matrices(10).rescaled[1][0] == F(-11, 4)
-    assert (limit_constraint_matrix()
-            == ((1, 1, -1), (-2, 1, 0), (1, 1, 1)))
-    _, inf_matrix = ppt_constraint_matrices(DINF)
-    assert inf_matrix == limit_constraint_matrix()
+    assert constraint_columns(10)[1][1][0] == F(-11, 4)
+    assert constraint_columns(DINF) == (YOUNG_SHAPES, ((1, 1, -1), (-2, 1, 0),
+                                                       (1, 1, 1)))
+    assert constraint_columns(3)[0] == (SQ, TAIL)
 
 
 def test_constraint_matrix_rejects_small_d():
-    with pytest.raises(ValueError):
-        ppt_constraint_matrices(3)
+    for d in (2, 3.5):
+        with pytest.raises(ValueError):
+            constraint_columns(d)
 
 
 def test_constraint_matrix_limit_distance():
-    tinf = limit_constraint_matrix()
+    tinf = constraint_columns(DINF)[1]
     for d in (10, 100, 1000):
-        td = ppt_constraint_matrices(d).rescaled
+        td = constraint_columns(d)[1]
         bound = F(8, d)
         for i in range(3):
             for j in range(3):
@@ -330,8 +330,8 @@ def test_constraint_matrix_limit_distance():
 
 
 def test_corner_variant():
-    derived = ppt_constraint_matrices(5).rescaled
-    alt = ppt_constraint_matrices(5, corner="alt").rescaled
+    derived = constraint_columns(5)[1]
+    alt = constraint_columns(5, corner="alt")[1]
     assert derived[2][2] == 1 - F(2, 5 * 4 * 3)
     assert alt[2][2] == 1 - F(2 * 5 - 3, 5 * 4 * 3)
     for i in range(3):

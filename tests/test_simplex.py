@@ -10,18 +10,17 @@ from hypothesis import strategies as st
 from antisym.simplex import LPProblem, simplex_solve
 
 
-def solve(c, a_ub=(), b_ub=(), a_eq=(), b_eq=(), nonneg=None):
+def solve(c, a_ub=(), b_ub=(), a_eq=(), b_eq=()):
     lp = LPProblem(objective=list(c),
                    a_ub=[list(r) for r in a_ub], b_ub=list(b_ub),
-                   a_eq=[list(r) for r in a_eq], b_eq=list(b_eq),
-                   nonneg=nonneg)
+                   a_eq=[list(r) for r in a_eq], b_eq=list(b_eq))
     return lp, simplex_solve(lp)
 
 
 def test_single_variable_box():
     _, sol = solve([1], a_ub=[[1]], b_ub=[1])
     assert sol.status == "optimal" and sol.value == 1 and sol.x == [1]
-    assert sol.dual_value == 1
+    assert sol.y_ub == [1]
 
 
 def test_two_copy_instance_restricted_to_one_parameter():
@@ -56,12 +55,6 @@ def test_equality_constraints_and_duals():
     assert (sol.y_eq[0] * 1) == sol.value   # dual of the only row
 
 
-def test_free_variable():
-    # max -x with x free and x >= -5 (encoded as -x <= 5): optimum x = -5
-    _, sol = solve([-1], a_ub=[[-1]], b_ub=[5], nonneg=[False])
-    assert sol.value == 5 and sol.x == [-5]
-
-
 def test_negative_rhs_rows():
     # x >= 2 encoded as -x <= -2, maximise -x
     _, sol = solve([-1], a_ub=[[-1]], b_ub=[-2])
@@ -76,22 +69,19 @@ def test_negative_rhs_rows():
     (dict(objective=[], a_eq=[[]], b_eq=[-1]), "infeasible", None),
     (dict(objective=[]), "optimal", 0),
     (dict(objective=[-1, 0]), "optimal", 0),
-    (dict(objective=[0], nonneg=[False]), "optimal", 0),
     (dict(objective=[1]), "unbounded", None),
-    (dict(objective=[-1], nonneg=[False]), "unbounded", None),
     (dict(objective=[1, 1], a_ub=[[0, 0]], b_ub=[-1]), "infeasible", None),
     (dict(objective=[-1], a_ub=[[0]], b_ub=[1]), "optimal", 0),
     (dict(objective=[-1, -1], a_eq=[[0, 0]], b_eq=[0]), "optimal", 0),
     (dict(objective=[1], a_eq=[[0]], b_eq=[1]), "infeasible", None),
     (dict(objective=[1], a_ub=[[1]], b_ub=[2], a_eq=[[0]], b_eq=[0]),
      "optimal", 2),
-    (dict(objective=[1], a_eq=[[3]], b_eq=[1], nonneg=[False]), "optimal",
-     F(1, 3)),
-    (dict(objective=[F(1, 2)], a_eq=[[F(-3, 2)]], b_eq=[F(1, 2)],
-          nonneg=[False]), "optimal", F(-1, 6)),
+    (dict(objective=[1], a_eq=[[3]], b_eq=[1]), "optimal", F(1, 3)),
+    (dict(objective=[F(1, 2)], a_eq=[[F(-3, 2)]], b_eq=[F(1, 2)]),
+     "infeasible", None),
 ], ids=["no-vars-b0", "no-vars-b1", "no-vars-b-neg", "no-vars-eq0",
-        "no-vars-eq-neg", "nothing", "no-rows-optimal", "no-rows-free",
-        "no-rows-unbounded", "no-rows-free-unbounded", "zero-ub-row-b-neg",
+        "no-vars-eq-neg", "nothing", "no-rows-optimal",
+        "no-rows-unbounded", "zero-ub-row-b-neg",
         "zero-ub-row", "zero-eq-row", "zero-eq-row-b1", "zero-eq-row-with-ub",
         "free-only-eq", "free-only-eq-rational"])
 def test_edge_case_statuses(kwargs, status, value):
@@ -99,9 +89,10 @@ def test_edge_case_statuses(kwargs, status, value):
     assert sol.status == status
     assert sol.value == value
     if status == "optimal":
-        assert sol.dual_value == value
         assert len(sol.y_ub) == len(kwargs.get("a_ub", []))
         assert len(sol.y_eq) == len(kwargs.get("a_eq", []))
+        rhs = kwargs.get("b_ub", []) + kwargs.get("b_eq", [])
+        assert sum(y * b for y, b in zip(sol.y_ub + sol.y_eq, rhs)) == value
 
 
 @pytest.mark.parametrize("kwargs, error, message", [
@@ -112,19 +103,28 @@ def test_edge_case_statuses(kwargs, status, value):
     (dict(objective=[1], a_ub=[[1, 2]], b_ub=[1]), ValueError, "row length"),
     (dict(objective=[1], a_ub=[[1]], b_ub=[1, 2]), ValueError, "count"),
     (dict(objective=[1], a_eq=[[1]], b_eq=[]), ValueError, "count"),
-    (dict(objective=[1], nonneg=[True, False]), ValueError, "nonneg"),
+    (dict(objective=[1], a_eq=[[1, 2]], b_eq=[1]), ValueError, "row length"),
     (dict(objective=[1], a_ub=[[1, 2]], b_ub=[]), ValueError, "row length"),
     (dict(objective=[1], a_ub=[[1]], b_ub=[1, 2.0]), TypeError, "got float"),
+    # a short denominator list must not drop rows
+    (dict(objective=[1], a_ub=[[1], [2]], b_ub=[1, 1], ub_den=[2]),
+     ValueError, "count"),
+    (dict(objective=[1], a_eq=[[1]], b_eq=[1], eq_den=[1, 1]), ValueError,
+     "count"),
+    (dict(objective=[1], obj_den=0), ValueError, "positive"),
+    (dict(objective=[1], a_ub=[[1]], b_ub=[1], ub_den=[-2]), ValueError,
+     "positive"),
+    (dict(objective=[1], obj_den=F(1, 2)), ValueError, "positive"),
 ])
 def test_constructor_rejects_bad_data(kwargs, error, message):
     with pytest.raises(error, match=message):
         LPProblem(**kwargs)
 
 
-def test_from_ints_stores_lowest_terms():
+def test_constructor_stores_lowest_terms():
     # objective (4/6, 2/6); rows (2x + 4y <= 6)/4 and (3x = 9)/3
-    lp = LPProblem.from_ints([4, 2], 6, [[2, 4]], [6], [4], [[3, 0]], [9],
-                             [3])
+    lp = LPProblem([4, 2], [[2, 4]], [6], [[3, 0]], [9], obj_den=6,
+                   ub_den=[4], eq_den=[3])
     assert (lp.objective, lp.obj_den) == ([2, 1], 3)
     assert (lp.a_ub, lp.b_ub, lp.ub_den) == ([[1, 2]], [3], [2])
     assert (lp.a_eq, lp.b_eq, lp.eq_den) == ([[1, 0]], [3], [1])
@@ -191,4 +191,4 @@ def test_against_vertex_enumeration(n, data):
     _, sol = solve(c, a_ub=a_ub, b_ub=b_ub)
     assert sol.status == "optimal"
     assert sol.value == brute_force_value(c, a_ub, b_ub)
-    assert sol.dual_value == sol.value
+    assert sum(y * b for y, b in zip(sol.y_ub, b_ub)) == sol.value
