@@ -15,8 +15,8 @@ from .programs import (DINF, analytic_dual_point, build_dual,
                        build_purity_bound, dual_coeff, solve_dual,
                        solve_purity_bound)
 from .projectors import (invariant_projectors, overlap_closed_forms,
-                         perm_operator, ppt_overlap_table, young_projector,
-                         young_state)
+                         perm_operator, ppt_overlap_table,
+                         symbolic_overlap_table, young_state)
 from .simplex import LPProblem, LPSolution, simplex_solve
 from .young import (plethysm_check, plethysm_dimensions, schur_eval,
                     ssyt_count, weyl_dimension)

@@ -153,18 +153,16 @@ def cost_lower_bound(n: int, d=DINF, mode: str = "lp") -> BoundReport:
     )
 
 
-def relent_lower_bound(n: int, d=DINF, mode: str = "lp") -> BoundReport:
+def relent_lower_bound(cost: BoundReport) -> BoundReport:
     """Lower bound on the regularised relative entropy of entanglement with
-    respect to separable states: half the cost bound, via the sup-norm <=
-    square root of the purity."""
-    inner = cost_lower_bound(n, d, mode)
-    coeff = inner.core_coeff / 2
+    respect to separable states: half the cost bound ``cost`` (from
+    ``cost_lower_bound``), via the sup-norm <= square root of the purity."""
     return BoundReport(
-        name=f"relative-entropy lower bound ({mode})",
-        log2_value=inner.log2_value / 2.0,
-        exact_core=inner.exact_core,
-        core_coeff=coeff,
-        params=dict(inner.params),
+        name=cost.name.replace("entanglement-cost", "relative-entropy"),
+        log2_value=cost.log2_value / 2.0,
+        exact_core=cost.exact_core,
+        core_coeff=cost.core_coeff / 2,
+        params=dict(cost.params),
         source="square root of the purity bound",
     )
 

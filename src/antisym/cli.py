@@ -247,8 +247,8 @@ def cmd_bounds(args) -> int:
     kd = bnd.squashed_upper_bound(args.d)
     ec_lp = bnd.cost_lower_bound(args.n, prg.DINF, "lp")
     ec_an = bnd.cost_lower_bound(args.n, prg.DINF, "analytic")
-    er_lp = bnd.relent_lower_bound(args.n, prg.DINF, "lp")
-    er_an = bnd.relent_lower_bound(args.n, prg.DINF, "analytic")
+    er_lp = bnd.relent_lower_bound(ec_lp)
+    er_an = bnd.relent_lower_bound(ec_an)
     er_ppt = bnd.relent_ppt_value(args.d)
     rows = [
         _row("kd_upper", kd.exact_core, kd.log2_value, kd.source, d=args.d),
@@ -343,17 +343,17 @@ def _verification_checks(d: int, level: str):
         return prj.pair_projector_element().trace_in_dimension(d) == pair_dim
 
     def flips_ok():
-        expected = {(1, 1, 1, 1): F(-1), (2, 2): F(1, 2), (2, 1, 1): F(0)}
-        got = prj.flip_overlaps(d, method="symbolic")
-        return all(got[s] == expected[s] for s in shapes)
+        # the flip values are the objective weights the LP uses
+        got = prj.flip_overlaps(d)
+        return all(got[s] == prg.OBJECTIVE_WEIGHTS[s] for s in shapes)
 
     def signs_ok():
         expected = {(1, 1, 1, 1): F(1), (2, 2): F(1), (2, 1, 1): F(-1)}
-        got = prj.pair_flip_signs(d, method="symbolic")
+        got = prj.pair_flip_signs(d)
         return all(got[s] == expected[s] for s in shapes)
 
     def overlaps_symbolic_ok():
-        table = prj.ppt_overlap_table(d, method="symbolic")
+        table = prj.symbolic_overlap_table(d)
         forms = prj.overlap_closed_forms(d)
         return (table.values == forms.values
                 and all(s == 1 for s in table.column_sums()))
@@ -381,16 +381,17 @@ def _verification_checks(d: int, level: str):
         return True
 
     def reduced_states_ok():
-        # each reduced state is built once: its flip value is the matrix
-        # route of flip_overlaps, checked against the symbolic route
-        expected_weight = {(1, 1, 1, 1): F(1), (2, 2): F(1, 4),
-                           (2, 1, 1): F(1, 2)}
-        symbolic = prj.flip_overlaps(d, method="symbolic")
+        # each reduced state is built once: its flip value is checked
+        # against the cycle-count route of flip_overlaps, and the state
+        # against the Werner mixture with antisymmetric weight (1 - f)/2
+        # for the LP's objective weight f
+        symbolic = prj.flip_overlaps(d)
         flip = prj.flip_matrix(d)
         for s in shapes:
             reduced = prj.reduced_pair_state(s, d)
+            weight = (1 - prg.OBJECTIVE_WEIGHTS[s]) / 2
             if (reduced.trace_product(flip) != symbolic[s]
-                    or reduced != prj.werner_mixture(expected_weight[s], d)):
+                    or reduced != prj.werner_mixture(weight, d)):
                 return False
         return True
 
@@ -407,7 +408,7 @@ def _verification_checks(d: int, level: str):
         return (bell.trace(), adjoint.trace(), tail.trace()) == expected
 
     def overlaps_matrix_ok():
-        table = prj.ppt_overlap_table(d, method="matrix")
+        table = prj.ppt_overlap_table(d)
         forms = prj.overlap_closed_forms(d)
         return (table.values == forms.values
                 and all(s == 1 for s in table.column_sums()))

@@ -6,19 +6,22 @@ Tensor factors are ordered A, B, A', B' (indices 0..3).  The primed pair is
 factors 2 and 3; the partial transpose across the AB:A'B' cut transposes
 those two factors.
 
-Two computation routes exist side by side and are cross-checked in tests:
+Each quantity has one route here.  Two kinds of route exist, and the
+``verify rep`` battery checks one against the other:
 
 * symbolic traces via the cycle count of a permutation (the trace of a
-  permutation operator on (C^d)^{x4} is d to the number of cycles), and
+  permutation operator on (C^d)^{x4} is d to the number of cycles):
+  ``flip_overlaps``, ``pair_flip_signs`` and ``symbolic_overlap_table``;
 * explicit exact matrices, all ``SparseRMatrix`` (int numerators over one
-  int denominator).  Full-space operators have at most 24 d^4 nonzeros (one
-  group-algebra element, summed in ints over the lcm of its coefficients'
-  denominators); the reduced two-factor states are their partial traces.
-  Products and idempotence are checked on the pair subspace
-  wedge2 x wedge2, where all operators of interest are supported, as
-  m^2 x m^2 matrices.  The restriction is an algebra isomorphism onto that
-  subspace, so products, idempotence and traces proven there hold for the
-  full-space operators.
+  int denominator): ``young_state``, ``reduced_pair_state``,
+  ``invariant_projectors`` and ``ppt_overlap_table``.  Full-space operators
+  have at most 24 d^4 nonzeros (one group-algebra element, summed in ints
+  over the lcm of its coefficients' denominators); the reduced two-factor
+  states are their partial traces.  Products and idempotence are checked on
+  the pair subspace wedge2 x wedge2, where all operators of interest are
+  supported, as m^2 x m^2 matrices.  The restriction is an algebra
+  isomorphism onto that subspace, so products, idempotence and traces
+  proven there hold for the full-space operators.
 """
 
 from __future__ import annotations
@@ -34,8 +37,6 @@ from .linalg import ShapeError, SparseRMatrix
 from .young import Partition, weyl_dimension
 
 YOUNG_SHAPES: tuple[Partition, ...] = ((1, 1, 1, 1), (2, 2), (2, 1, 1))
-
-OVERLAP_ROWS = ("bell", "adjoint", "tail")
 
 DINF = math.inf
 
@@ -246,31 +247,21 @@ def pair_projector_element() -> GroupAlgebraElement:
     return ((e - _t(1, 2)) * (e - _t(3, 4))).scale(Fraction(1, 4))
 
 
-def young_projector(shape: Partition, d: int) -> SparseRMatrix:
-    """Sparse exact operator of the Young projector on (C^d)^{x4}."""
-    if d < 3:
-        raise ValueError("d must be at least 3")
-    if shape not in YOUNG_SHAPES:
-        raise ValueError(f"shape must be one of {YOUNG_SHAPES}")
-    return young_projector_element(shape).to_operator(d)
-
-
-def young_state(shape: Partition, d: int) -> SparseRMatrix:
-    """Normalised Young projector (trace one)."""
-    if d < 3:
-        raise ValueError("d must be at least 3")
+def young_state_element(shape: Partition, d: int) -> GroupAlgebraElement:
+    """Normalised Young projector (trace one) as a group-algebra element."""
     dim = weyl_dimension(shape, d)
     if dim == 0:
         raise ValueError(f"state for {shape} is degenerate at d={d} "
                          "(zero-dimensional component)")
-    return young_projector(shape, d).scale(Fraction(1, dim))
-
-
-def young_state_element(shape: Partition, d: int) -> GroupAlgebraElement:
-    dim = weyl_dimension(shape, d)
-    if dim == 0:
-        raise ValueError(f"state for {shape} is degenerate at d={d}")
     return young_projector_element(shape).scale(Fraction(1, dim))
+
+
+def young_state(shape: Partition, d: int) -> SparseRMatrix:
+    """Normalised Young projector (trace one) as a sparse operator on
+    (C^d)^{x4}."""
+    if d < 3:
+        raise ValueError("d must be at least 3")
+    return young_state_element(shape, d).to_operator(d)
 
 
 def present_shapes(d: int) -> tuple[Partition, ...]:
@@ -403,40 +394,22 @@ _FLIP_BB = Perm4.from_cycles((2, 4))          # 1 x F_{B:B'}
 _FLIP_BOTH = Perm4.from_cycles((1, 3), (2, 4))
 
 
-def flip_overlaps(d: int, method: str = "symbolic") -> dict[Partition, Fraction]:
+def flip_overlaps(d: int) -> dict[Partition, Fraction]:
     """tr(rho~_y F_{A:A'}) for each present shape, rho~ the reduction to AA'.
 
-    Equals (-1, 1/2, 0) for the three shapes, independently of d.  The
-    symbolic method contracts permutations by cycle counting; the matrix
-    method builds the sparse state, takes the exact partial trace and pairs
-    with the flip operator.
+    Equals (-1, 1/2, 0) for the three shapes, independently of d.  Computed
+    by cycle counting; the matrix value is
+    ``reduced_pair_state(shape, d).trace_product(flip_matrix(d))``.
     """
-    out = {}
-    for shape in present_shapes(d):
-        if method == "symbolic":
-            elem = young_state_element(shape, d)
-            out[shape] = elem.trace_with(_FLIP_AA, d)
-        elif method == "matrix":
-            reduced = reduced_pair_state(shape, d)
-            out[shape] = reduced.trace_product(flip_matrix(d))
-        else:
-            raise ValueError(f"unknown method {method!r}")
-    return out
+    return {shape: young_state_element(shape, d).trace_with(_FLIP_AA, d)
+            for shape in present_shapes(d)}
 
 
-def pair_flip_signs(d: int, method: str = "symbolic") -> dict[Partition, Fraction]:
-    """tr(rho_y (F_{A:A'} x F_{B:B'})); +1 on the symmetric-square shapes,
-    -1 on the alternating-square shape."""
-    out = {}
-    for shape in present_shapes(d):
-        if method == "symbolic":
-            out[shape] = young_state_element(shape, d).trace_with(_FLIP_BOTH, d)
-        elif method == "matrix":
-            rho = young_state(shape, d)
-            out[shape] = (rho @ perm_operator(_FLIP_BOTH, d)).trace()
-        else:
-            raise ValueError(f"unknown method {method!r}")
-    return out
+def pair_flip_signs(d: int) -> dict[Partition, Fraction]:
+    """tr(rho_y (F_{A:A'} x F_{B:B'})) by cycle counting; +1 on the
+    symmetric-square shapes, -1 on the alternating-square shape."""
+    return {shape: young_state_element(shape, d).trace_with(_FLIP_BOTH, d)
+            for shape in present_shapes(d)}
 
 
 def flip_matrix(d: int) -> SparseRMatrix:
@@ -475,12 +448,6 @@ class OverlapTable:
     columns: tuple[Partition, ...]
     values: tuple[tuple[Fraction, ...], ...]  # rows: bell, adjoint, tail
 
-    def row(self, name: str) -> tuple[Fraction, ...]:
-        return self.values[OVERLAP_ROWS.index(name)]
-
-    def entry(self, name: str, shape: Partition) -> Fraction:
-        return self.row(name)[self.columns.index(shape)]
-
     def column_sums(self) -> tuple[Fraction, ...]:
         return tuple(sum(row[j] for row in self.values)
                      for j in range(len(self.columns)))
@@ -502,44 +469,50 @@ def overlap_closed_forms(d: int) -> OverlapTable:
     return OverlapTable(d, cols, rows)
 
 
-def ppt_overlap_table(d: int, method: str = "matrix") -> OverlapTable:
-    """Overlap table computed from first principles (not the closed forms).
+def ppt_overlap_table(d: int) -> OverlapTable:
+    """Overlap table from explicit matrices (not the closed forms).
 
-    matrix: the ``invariant_projectors`` (adjoint halved) paired with
-    explicit exact states on the pair subspace; the partial transpose acts
-    on the second pair factor.  symbolic: cycle-count traces
-    using Phi^Gamma = F/d to reduce every entry to permutation traces.
+    The ``invariant_projectors`` (adjoint halved) are paired with the exact
+    states on the pair subspace; the partial transpose acts on the second
+    pair factor.
     """
     if d < 3:
         raise ValueError("d must be at least 3")
     cols = present_shapes(d)
-    if method == "matrix":
-        basis = PairBasis(d)
-        bell, adjoint, tail = invariant_projectors(d)
-        half_adjoint = adjoint.scale(Fraction(1, 2))
-        ops = (bell, half_adjoint, tail + half_adjoint)
-        rows = [[], [], []]
-        for shape in cols:
-            rho = basis.restricted_element(young_state_element(shape, d))
-            rho_pt = rho.partial_transpose((1,))
-            for row, op in zip(rows, ops):
-                row.append(rho_pt.trace_product(op))
-    elif method == "symbolic":
-        # tr(rho^G (Phi x Phi)) = tr(rho F_bothpairs)/d^2 and
-        # tr(rho^G (1 x Phi)) = tr(rho (1 x F))/d, since transposing a
-        # factor of Phi yields F/d and the transpose cancels against rho^G.
-        rows = [[], [], []]
-        for shape in cols:
-            elem = young_state_element(shape, d)
-            f_both = elem.trace_with(_FLIP_BOTH, d)
-            f_single = elem.trace_with(_FLIP_BB, d)
-            bell = Fraction(2 * d, d - 1) * f_both / (d * d)
-            adjoint = Fraction(2 * d, d - 2) * (f_single / d - f_both / (d * d))
-            rows[0].append(bell)
-            rows[1].append(adjoint)
-            rows[2].append(1 - bell - adjoint)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    basis = PairBasis(d)
+    bell, adjoint, tail = invariant_projectors(d)
+    half_adjoint = adjoint.scale(Fraction(1, 2))
+    ops = (bell, half_adjoint, tail + half_adjoint)
+    rows = [[], [], []]
+    for shape in cols:
+        rho = basis.restricted_element(young_state_element(shape, d))
+        rho_pt = rho.partial_transpose((1,))
+        for row, op in zip(rows, ops):
+            row.append(rho_pt.trace_product(op))
+    return OverlapTable(d, cols, tuple(tuple(r) for r in rows))
+
+
+def symbolic_overlap_table(d: int) -> OverlapTable:
+    """Overlap table from cycle-count traces (not the closed forms).
+
+    Phi^Gamma = F/d reduces every entry to permutation traces:
+    tr(rho^G (Phi x Phi)) = tr(rho F_bothpairs)/d^2 and
+    tr(rho^G (1 x Phi)) = tr(rho (1 x F))/d, since transposing a factor of
+    Phi yields F/d and the transpose cancels against rho^G.
+    """
+    if d < 3:
+        raise ValueError("d must be at least 3")
+    cols = present_shapes(d)
+    rows = [[], [], []]
+    for shape in cols:
+        elem = young_state_element(shape, d)
+        f_both = elem.trace_with(_FLIP_BOTH, d)
+        f_single = elem.trace_with(_FLIP_BB, d)
+        bell = Fraction(2 * d, d - 1) * f_both / (d * d)
+        adjoint = Fraction(2 * d, d - 2) * (f_single / d - f_both / (d * d))
+        rows[0].append(bell)
+        rows[1].append(adjoint)
+        rows[2].append(1 - bell - adjoint)
     return OverlapTable(d, cols, tuple(tuple(r) for r in rows))
 
 

@@ -1,9 +1,10 @@
-"""Partitions, semistandard tableaux, Schur polynomials and Weyl dimensions.
+"""Partitions, Schur polynomials, tableau counts and Weyl dimensions.
 
 Shapes are tuples of weakly decreasing non-negative integers (trailing zeros
-are stripped on normalisation).  Tableaux use the standard semistandard
-convention: rows weakly increase to the right, columns strictly increase
-downwards, entries in 1..max_entry.
+are stripped on normalisation).  Schur polynomials are evaluated by the
+branching rule over horizontal strips; the number of semistandard tableaux
+(rows weakly increasing, columns strictly increasing, entries in
+1..max_entry) is the Schur polynomial at max_entry ones.
 """
 
 from __future__ import annotations
@@ -11,16 +12,11 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import factorial
 from typing import Iterator, NamedTuple, Sequence
 
 from .linalg import Rational, RationalLike, _frac
 
 Partition = tuple[int, ...]
-
-# Full tableau enumeration is only used for polynomial evaluation; all shapes
-# in this artifact have at most four boxes, so the cap is generous.
-MAX_ENUMERATION_BOXES = 8
 
 
 def normalize_partition(parts: Sequence[int]) -> Partition:
@@ -37,10 +33,11 @@ def normalize_partition(parts: Sequence[int]) -> Partition:
 def weyl_dimension(shape: Sequence[int], d: int) -> int:
     """Dimension of the unitary-group irrep with highest weight ``shape``.
 
-    The product formula prod_{i<j} (l_i - l_j - i + j) / prod_{k<d} k! with the
-    shape zero-padded to length d.  Shapes with more than d nonzero rows give 0.
-    Pairs of zero-padded rows contribute the factorial tail of the denominator
-    and are cancelled analytically, so large d stays cheap for short shapes.
+    The product formula prod_{i<j<d} (l_i - l_j + j - i) / (j - i) with the
+    shape zero-padded to length d.  Shapes with more than d nonzero rows give
+    0.  For each of the r nonzero rows i (counted from 0) the factors against
+    the zero rows telescope to prod_{t=1}^{l_i} (d - 1 - i + t) / (r - 1 - i + t),
+    so the cost grows with the number of boxes and rows, not with d.
     """
     if d < 1:
         raise ValueError("d must be positive")
@@ -48,39 +45,28 @@ def weyl_dimension(shape: Sequence[int], d: int) -> int:
     r = len(lam)
     if r > d:
         return 0
-    num = 1
+    num = den = 1
     for i in range(r):
-        for j in range(i + 1, d):
-            lj = lam[j] if j < r else 0
-            num *= lam[i] - lj - i + j
-    den = 1
-    for k in range(d - r, d):
-        den *= factorial(k)
+        for j in range(i + 1, r):
+            num *= lam[i] - lam[j] + j - i
+            den *= j - i
+        for t in range(1, lam[i] + 1):
+            num *= d - 1 - i + t
+            den *= r - 1 - i + t
     q, rem = divmod(num, den)
     if rem != 0:
-        raise ArithmeticError("Weyl product not divisible by superfactorial")
+        raise ArithmeticError("Weyl product is not an integer")
     return q
 
 
-@lru_cache(maxsize=None)
 def ssyt_count(shape: Partition, max_entry: int) -> int:
-    """Number of semistandard tableaux of ``shape`` with entries in 1..max_entry.
-
-    Recursive on the largest entry: the boxes holding the value ``max_entry``
-    form a horizontal strip at the boundary of the diagram.
-    """
-    lam = normalize_partition(shape)
-    if not lam:
-        return 1
-    if max_entry <= 0:
-        return 0
-    total = 0
-    for mu in _horizontal_strip_predecessors(lam):
-        total += ssyt_count(mu, max_entry - 1)
-    return total
+    """Number of semistandard tableaux of ``shape`` with entries in
+    1..max_entry: the Schur polynomial at max_entry ones."""
+    return int(schur_eval(shape, [1] * max_entry))
 
 
-def _horizontal_strip_predecessors(lam: Partition) -> Iterator[Partition]:
+@lru_cache(maxsize=None)
+def _horizontal_strip_predecessors(lam: Partition) -> tuple[Partition, ...]:
     """All mu <= lam such that lam/mu is a horizontal strip (possibly empty)."""
     def rec(i: int, prefix: tuple[int, ...]) -> Iterator[Partition]:
         if i == len(lam):
@@ -91,54 +77,35 @@ def _horizontal_strip_predecessors(lam: Partition) -> Iterator[Partition]:
         # rows of mu interleave: lam[i+1] <= mu[i] <= lam[i]
         for m in range(lo, hi + 1):
             yield from rec(i + 1, prefix + (m,))
-    yield from rec(0, ())
-
-
-def semistandard_tableaux(shape: Sequence[int], max_entry: int
-                          ) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Enumerate all semistandard tableaux of ``shape`` with entries 1..max_entry."""
-    lam = normalize_partition(shape)
-    if sum(lam) > MAX_ENUMERATION_BOXES:
-        raise ValueError(f"enumeration capped at {MAX_ENUMERATION_BOXES} boxes")
-    if not lam:
-        yield ()
-        return
-
-    rows = len(lam)
-
-    def fill(r: int, c: int, current: list[list[int]]) -> Iterator[tuple[tuple[int, ...], ...]]:
-        if r == rows:
-            yield tuple(tuple(row) for row in current)
-            return
-        nr, nc = (r, c + 1) if c + 1 < lam[r] else (r + 1, 0)
-        lo = 1
-        if c > 0:
-            lo = max(lo, current[r][c - 1])          # weakly increasing rows
-        if r > 0:
-            lo = max(lo, current[r - 1][c] + 1)      # strictly increasing columns
-        for v in range(lo, max_entry + 1):
-            current[r].append(v)
-            yield from fill(nr, nc, current)
-            current[r].pop()
-
-    yield from fill(0, 0, [[] for _ in range(rows)])
+    return tuple(rec(0, ()))
 
 
 def schur_eval(shape: Sequence[int], values: Sequence[RationalLike]) -> Rational:
     """Schur polynomial s_shape evaluated at the given point.
 
-    Computed as the tableau generating sum: for each semistandard tableau,
-    multiply the variables indexed by its entries.
+    Branching rule (Macdonald, Symmetric Functions and Hall Polynomials,
+    I.(5.11)): s_lam(x_1..x_k) is the sum over the horizontal strips lam/mu
+    of x_k^|lam/mu| s_mu(x_1..x_{k-1}).  Each (shape, k) is computed once,
+    one variable at a time over the shapes contained in ``shape``; in no
+    variables only the empty shape gives 1, so a shape with more rows than
+    variables gives 0.
     """
-    vals = [_frac(v) for v in values]
-    total = Fraction(0)
-    for tab in semistandard_tableaux(shape, len(vals)):
-        term = Fraction(1)
-        for row in tab:
-            for e in row:
-                term *= vals[e - 1]
-        total += term
-    return total
+    lam = normalize_partition(shape)
+    shapes = {lam}
+    stack = [lam]
+    while stack:
+        for mu in _horizontal_strip_predecessors(stack.pop()):
+            if mu not in shapes:
+                shapes.add(mu)
+                stack.append(mu)
+    level = {mu: Fraction(0 if mu else 1) for mu in shapes}
+    for v in values:
+        xk = _frac(v)
+        level = {mu: sum((xk ** (sum(mu) - sum(nu)) * level[nu]
+                          for nu in _horizontal_strip_predecessors(mu)),
+                         Fraction(0))
+                 for mu in shapes}
+    return level[lam]
 
 
 class PlethysmCheck(NamedTuple):

@@ -14,10 +14,10 @@ from antisym.bounds import (cost_lower_bound, purity_seesaw,
                             squashed_upper_bound)
 from antisym.programs import (DINF, analytic_dual_point, build_dual,
                               solve_dual, solve_purity_bound)
-from antisym.projectors import (PairBasis, YOUNG_SHAPES, flip_overlaps,
+from antisym.projectors import (PairBasis, YOUNG_SHAPES, flip_matrix,
                                 invariant_projectors, overlap_closed_forms,
                                 ppt_overlap_table, present_shapes,
-                                young_projector_element)
+                                reduced_pair_state, young_projector_element)
 from antisym.young import plethysm_check, weyl_dimension
 
 GOLDEN = {1: F(1, 2), 2: F(1, 2), 4: F(1, 4), 6: F(1, 7),
@@ -117,7 +117,8 @@ def test_criterion_6_exact_operator_verification():
             for j in range(i + 1, 3):
                 assert (mats[shapes[i]] @ mats[shapes[j]]).is_zero(), (d, i, j)
 
-        flips = flip_overlaps(d, method="matrix")
+        flips = {s: reduced_pair_state(s, d).trace_product(flip_matrix(d))
+                 for s in present_shapes(d)}
         expected = {(1, 1, 1, 1): F(-1), (2, 2): F(1, 2), (2, 1, 1): F(0)}
         assert flips == {s: expected[s] for s in present_shapes(d)}
 
@@ -131,7 +132,7 @@ def test_criterion_6_exact_operator_verification():
             (1, d * d - 1, m * m - d * d)
         assert bell + adjoint + tail == basis.identity()
 
-        table = ppt_overlap_table(d, method="matrix")
+        table = ppt_overlap_table(d)
         assert table.values == overlap_closed_forms(d).values, d
         assert all(s == 1 for s in table.column_sums())
     elapsed = time.monotonic() - start
@@ -169,7 +170,7 @@ def test_criterion_8_seesaw_sandwich():
 
 
 def test_criterion_9_relative_entropy_bounds():
-    analytic = relent_lower_bound(7, mode="analytic")
+    analytic = relent_lower_bound(cost_lower_bound(7, mode="analytic"))
     expected = (math.log2(4.0) - math.log2(3.0)) / 2
     assert abs(analytic.log2_value - expected) <= 1e-9
     assert abs(analytic.log2_value - 0.207518) <= 1e-6

@@ -92,10 +92,10 @@ def test_cost_lower_bound_dimension_three():
 
 
 def test_relent_lower_bounds():
-    analytic = relent_lower_bound(5, mode="analytic")
+    analytic = relent_lower_bound(cost_lower_bound(5, mode="analytic"))
     assert abs(analytic.log2_value - 0.2075187496394219) < 1e-12
     assert analytic.consistent()
-    lp1 = relent_lower_bound(1, mode="lp")
+    lp1 = relent_lower_bound(cost_lower_bound(1, mode="lp"))
     assert lp1.exact_core == F(1, 2)
     assert lp1.log2_value == 0.5
     assert lp1.consistent()

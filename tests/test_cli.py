@@ -93,6 +93,8 @@ def test_json_round_trip_and_determinism(capsys):
     (("lp", "primal", "--n", "2", "--d", "3", "--form", "full3"),
      "lp_primal_n2_d3_full3"),
     (("lp", "primal", "--n", "6", "--dinf"), "lp_primal_n6_dinf"),
+    (("verify", "rep", "--d", "4", "--level", "full"), "verify_rep_d4_full"),
+    (("verify", "rep", "--d", "7", "--level", "fast"), "verify_rep_d7_fast"),
 ])
 @pytest.mark.parametrize("fmt, ext", [("text", "txt"), ("json", "json"),
                                       ("csv", "csv")])
@@ -119,6 +121,47 @@ def test_bounds_table_values(capsys):
     assert "5/66" in out            # limit LP value at n = 8
     assert "4/3" in out             # analytic certificate core
     assert "0.4150374" in out
+
+
+def test_bounds_solves_its_programme_once(capsys, monkeypatch):
+    from antisym import bounds, programs
+
+    calls = {"solve": 0, "dual point": 0}
+    solve = programs.simplex_solve
+    dual_point = bounds.analytic_dual_point
+
+    def counted_solve(lp):
+        calls["solve"] += 1
+        return solve(lp)
+
+    def counted_dual_point(*args):
+        calls["dual point"] += 1
+        return dual_point(*args)
+
+    monkeypatch.setattr(programs, "simplex_solve", counted_solve)
+    monkeypatch.setattr(bounds, "analytic_dual_point", counted_dual_point)
+    code, out, _ = run(capsys, "bounds", "--d", "4", "--n", "8")
+    assert code == 0 and "er_lower_lp" in out
+    assert calls == {"solve": 1, "dual point": 1}
+
+
+def test_lp_primal_at_a_large_dimension(capsys):
+    code, out, err = run(capsys, "lp", "primal", "--n", "1", "--d", "100000",
+                         "--format", "json")
+    assert (code, err) == (0, "")
+    rows = {r["quantity"]: r for r in json.loads(out)["results"]}
+    assert rows["purity_bound"]["exact"] == {"num": "1", "den": "2"}
+    assert rows["purity_bound"]["d"] == 100000
+
+
+def test_verify_rep_checks_the_objective_weights(capsys, monkeypatch):
+    # the flip values the battery checks are the weights the LP optimises
+    from antisym import programs
+
+    monkeypatch.setitem(programs.OBJECTIVE_WEIGHTS, (2, 2), F(1, 3))
+    code, _, err = run(capsys, "verify", "rep", "--d", "4")
+    assert code == 1
+    assert err == "verification failed: flip expectations\n"
 
 
 def test_verify_rep_passes(capsys):

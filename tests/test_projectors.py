@@ -10,18 +10,24 @@ from antisym import cli
 from antisym.linalg import SparseRMatrix
 from antisym.projectors import (DINF, S4, GroupAlgebraElement, PairBasis,
                                 Perm4, YOUNG_SHAPES, constraint_columns,
-                                flip_overlaps, invariant_projectors,
-                                overlap_closed_forms, pair_flip_signs,
-                                pair_projector_element, perm_operator,
-                                ppt_overlap_table, present_shapes,
-                                reduced_pair_state, werner_mixture,
-                                young_projector, young_projector_element,
-                                young_state, young_state_element)
+                                flip_matrix, flip_overlaps,
+                                invariant_projectors, overlap_closed_forms,
+                                pair_flip_signs, pair_projector_element,
+                                perm_operator, ppt_overlap_table,
+                                present_shapes, reduced_pair_state,
+                                symbolic_overlap_table, werner_mixture,
+                                young_projector_element, young_state,
+                                young_state_element)
 from antisym.young import weyl_dimension
 
 B4 = (1, 1, 1, 1)
 SQ = (2, 2)
 TAIL = (2, 1, 1)
+
+
+def projector_operator(shape, d):
+    """The Young projector on (C^d)^{x4} as a sparse operator."""
+    return young_projector_element(shape).to_operator(d)
 
 
 # -- permutations and their operators -----------------------------------------
@@ -100,20 +106,20 @@ def test_projector_traces_match_dimensions():
 def test_dense_projectors_idempotent_at_d3():
     # Full-space route, independent of the pair-subspace restriction.
     for s in (SQ, TAIL):
-        p = young_projector(s, 3)
+        p = projector_operator(s, 3)
         assert p @ p == p
         assert p.trace() == weyl_dimension(s, 3)
-    assert young_projector(B4, 3).is_zero()
+    assert projector_operator(B4, 3).is_zero()
 
 
 def test_trace_of_tail_projector_example():
-    assert young_projector(TAIL, 3).trace() == 3  # (d+1)d(d-1)(d-2)/8 at d=3
-    assert young_projector(B4, 4).trace() == 1    # d(d-1)(d-2)(d-3)/24 at d=4
+    assert projector_operator(TAIL, 3).trace() == 3  # (d+1)d(d-1)(d-2)/8 at d=3
+    assert projector_operator(B4, 4).trace() == 1    # d(d-1)(d-2)(d-3)/24 at d=4
 
 
 def test_young_state_normalisation_and_errors():
     assert young_state(SQ, 5).trace() == 1
-    assert young_state(TAIL, 3) == young_projector(TAIL, 3).scale(F(1, 3))
+    assert young_state(TAIL, 3) == projector_operator(TAIL, 3).scale(F(1, 3))
     with pytest.raises(ValueError):
         young_state(B4, 3)
 
@@ -158,7 +164,7 @@ def test_to_operator_of_cancelling_elements_stores_no_zero():
 
 
 def test_full_space_operators_are_sparse():
-    assert isinstance(young_projector(SQ, 3), SparseRMatrix)
+    assert isinstance(projector_operator(SQ, 3), SparseRMatrix)
     assert isinstance(young_state(SQ, 3), SparseRMatrix)
     basis = PairBasis(3)
     small = basis.restricted_element(young_projector_element(SQ))
@@ -222,7 +228,10 @@ def test_flip_overlaps_are_dimension_free():
 
 def test_flip_overlaps_matrix_route():
     for d in (3, 4, 5):
-        assert flip_overlaps(d, "matrix") == flip_overlaps(d, "symbolic")
+        flip = flip_matrix(d)
+        matrix = {s: reduced_pair_state(s, d).trace_product(flip)
+                  for s in present_shapes(d)}
+        assert flip_overlaps(d) == matrix
 
 
 def test_reduced_states_are_werner_mixtures():
@@ -245,7 +254,9 @@ def test_pair_flip_signs():
         expected = {B4: F(1), SQ: F(1), TAIL: F(-1)}
         got = pair_flip_signs(d)
         assert got == {s: expected[s] for s in present_shapes(d)}
-        assert pair_flip_signs(d, "matrix") == got
+        both = perm_operator(Perm4.from_cycles((1, 3), (2, 4)), d)
+        assert got == {s: (young_state(s, d) @ both).trace()
+                       for s in present_shapes(d)}
 
 
 # -- the invariant projectors and overlap table ---------------------------------
@@ -284,18 +295,18 @@ def test_states_keep_unit_trace_under_transpose():
 def test_overlap_table_matches_closed_forms():
     for d in (3, 4, 5):
         closed = overlap_closed_forms(d)
-        for method in ("symbolic", "matrix"):
-            table = ppt_overlap_table(d, method)
-            assert table.values == closed.values, (d, method)
+        for route in (symbolic_overlap_table, ppt_overlap_table):
+            table = route(d)
+            assert table.values == closed.values, (d, route.__name__)
+            assert table.columns == closed.columns
             assert all(s == 1 for s in table.column_sums())
 
 
 def test_overlap_examples():
-    t4 = ppt_overlap_table(4)
-    assert t4.entry("bell", TAIL) == F(-1, 6)
-    assert t4.entry("adjoint", B4) == F(-5, 4)
-    t5 = ppt_overlap_table(5)
-    assert t5.entry("adjoint", SQ) == F(1, 5)
+    bell, adjoint, _ = ppt_overlap_table(4).values   # columns B4, SQ, TAIL
+    assert bell[2] == F(-1, 6)
+    assert adjoint[0] == F(-5, 4)
+    assert ppt_overlap_table(5).values[1][1] == F(1, 5)
     assert ppt_overlap_table(3).columns == (SQ, TAIL)
 
 

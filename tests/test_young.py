@@ -2,19 +2,22 @@
 
 from fractions import Fraction as F
 from itertools import permutations
+from math import prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from antisym.young import (plethysm_check, plethysm_dimensions, schur_eval,
-                           semistandard_tableaux, ssyt_count, weyl_dimension)
+                           ssyt_count, weyl_dimension)
 
 rational = st.fractions(min_value=-3, max_value=3, max_denominator=5)
 
 
-def brute_force_ssyt(shape, d):
-    """Independent enumeration by direct filling with constraint checks."""
+def brute_force_schur(shape, values):
+    """Tableau generating sum: over every semistandard filling of ``shape``
+    with entries 1..len(values), found by direct filling with constraint
+    checks, the product of the variables its entries index."""
     shape = tuple(shape)
     boxes = [(r, c) for r, row_len in enumerate(shape) for c in range(row_len)]
 
@@ -23,7 +26,7 @@ def brute_force_ssyt(shape, d):
             yield dict(filling)
             return
         r, c = boxes[i]
-        for v in range(1, d + 1):
+        for v in range(1, len(values) + 1):
             if c > 0 and filling[(r, c - 1)] > v:
                 continue
             if r > 0 and filling[(r - 1, c)] >= v:
@@ -32,7 +35,13 @@ def brute_force_ssyt(shape, d):
             yield from rec(i + 1, filling)
             del filling[(r, c)]
 
-    return sum(1 for _ in rec(0, {}))
+    return sum((prod((values[v - 1] for v in filling.values()), start=F(1))
+                for filling in rec(0, {})), F(0))
+
+
+def brute_force_ssyt(shape, d):
+    """Independent count of the semistandard fillings."""
+    return brute_force_schur(shape, [1] * d)
 
 
 def all_partitions_up_to(n):
@@ -47,6 +56,15 @@ def all_partitions_up_to(n):
     for k in range(1, n + 1):
         out.extend(parts(k, k))
     return out
+
+
+def test_weyl_dimension_at_a_large_dimension():
+    # the closed forms of plethysm_dimensions, evaluated directly
+    d = 10 ** 6
+    assert weyl_dimension((1, 1, 1, 1), d) == d * (d - 1) * (d - 2) * (d - 3) // 24
+    assert weyl_dimension((2, 2), d) == (d + 1) * d * d * (d - 1) // 12
+    assert weyl_dimension((2, 1, 1), d) == (d + 1) * d * (d - 1) * (d - 2) // 8
+    assert plethysm_dimensions(d).dim_22 == weyl_dimension((2, 2), d)
 
 
 def test_weyl_examples():
@@ -79,6 +97,12 @@ def test_ssyt_equals_weyl_exhaustively():
                 assert ssyt_count(shape, d) == brute_force_ssyt(shape, d)
 
 
+def test_ssyt_count_with_many_entries():
+    # one variable at a time, without a recursion as deep as max_entry
+    for shape in ((2, 1), (2, 2), (1, 1, 1, 1)):
+        assert ssyt_count(shape, 2000) == weyl_dimension(shape, 2000)
+
+
 def test_schur_examples():
     assert schur_eval((1, 1), [1, 1, 1]) == 3
     assert schur_eval((1, 1), [1, 2, 3]) == 11      # e_2(1,2,3)
@@ -92,26 +116,19 @@ def test_schur_at_ones_is_dimension():
             assert schur_eval(shape, [F(1)] * d) == weyl_dimension(shape, d)
 
 
+@given(st.sampled_from([s for s in all_partitions_up_to(5) if len(s) <= 4]),
+       st.lists(rational, min_size=0, max_size=4))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_schur_matches_brute_force_tableau_sum(shape, values):
+    assert schur_eval(shape, values) == brute_force_schur(shape, values)
+
+
 @given(st.lists(rational, min_size=3, max_size=5))
 @settings(max_examples=40, deadline=None)
 def test_schur_is_symmetric(values):
     base = schur_eval((2, 1), values)
     for perm in permutations(values):
         assert schur_eval((2, 1), list(perm)) == base
-
-
-def test_enumeration_cap():
-    with pytest.raises(ValueError):
-        list(semistandard_tableaux((5, 4), 6))
-
-
-def test_tableaux_are_semistandard():
-    for tab in semistandard_tableaux((2, 2, 1), 4):
-        for row in tab:
-            assert all(row[i] <= row[i + 1] for i in range(len(row) - 1))
-        for r in range(len(tab) - 1):
-            for c in range(len(tab[r + 1])):
-                assert tab[r][c] < tab[r + 1][c]
 
 
 def test_plethysm_dimension_table():
