@@ -35,12 +35,11 @@ def binary_entropy(p: float) -> float:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """A named bound: exact rational core plus its floating log2 rendering.
+    """A bound: exact rational core plus its floating log2 rendering.
 
     ``log2_value`` equals ``core_coeff * log2(exact_core)`` whenever the core
     is present; ``consistent`` re-checks that identity.
     """
-    name: str
     log2_value: float
     exact_core: Fraction | None = None
     core_coeff: Fraction | None = None
@@ -111,7 +110,6 @@ def squashed_upper_bound(d: int) -> BoundReport:
     if best_k != expected_k:
         raise ArithmeticError(f"minimiser k={best_k}, expected {expected_k}")
     return BoundReport(
-        name="key-rate upper bound",
         log2_value=float(coeff) * log2_fraction(core),
         exact_core=core,
         core_coeff=coeff,
@@ -132,7 +130,6 @@ def cost_lower_bound(n: int, d=DINF, mode: str = "lp") -> BoundReport:
         if not point.feasible or point.z != Fraction(3, 4) ** n:
             raise ArithmeticError("geometric dual point failed")
         return BoundReport(
-            name="entanglement-cost lower bound (analytic)",
             log2_value=log2_fraction(Fraction(4, 3)),
             exact_core=Fraction(4, 3),
             core_coeff=Fraction(1),
@@ -141,10 +138,14 @@ def cost_lower_bound(n: int, d=DINF, mode: str = "lp") -> BoundReport:
         )
     if mode != "lp":
         raise ValueError("mode must be 'lp' or 'analytic'")
-    value, _, _ = solve_purity_bound(n, d)
+    return cost_bound_from_purity(solve_purity_bound(n, d).value, n, d)
+
+
+def cost_bound_from_purity(value: Fraction, n: int, d=DINF) -> BoundReport:
+    """The cost bound -(1/n) log2(value) of an n-copy purity bound ``value``
+    (an optimum of the programme at dimension d)."""
     coeff = Fraction(-1, n)
     return BoundReport(
-        name="entanglement-cost lower bound (LP)",
         log2_value=float(coeff) * log2_fraction(value),
         exact_core=value,
         core_coeff=coeff,
@@ -158,7 +159,6 @@ def relent_lower_bound(cost: BoundReport) -> BoundReport:
     respect to separable states: half the cost bound ``cost`` (from
     ``cost_lower_bound``), via the sup-norm <= square root of the purity."""
     return BoundReport(
-        name=cost.name.replace("entanglement-cost", "relative-entropy"),
         log2_value=cost.log2_value / 2.0,
         exact_core=cost.exact_core,
         core_coeff=cost.core_coeff / 2,
@@ -174,7 +174,6 @@ def relent_ppt_value(d: int) -> BoundReport:
         raise ValueError("d must be at least 3")
     core = Fraction(d + 2, d)
     return BoundReport(
-        name="relative entropy w.r.t. PPT states (reference)",
         log2_value=log2_fraction(core),
         exact_core=core,
         core_coeff=Fraction(1),
@@ -194,7 +193,7 @@ def continuity_bound(eps: float, d: int) -> float:
 
 __all__ = [
     "BoundReport", "ExtensionCmi", "PurityResult",
-    "binary_entropy", "continuity_bound", "cost_lower_bound",
-    "extension_cmi", "log2_fraction", "purity_seesaw",
+    "binary_entropy", "continuity_bound", "cost_bound_from_purity",
+    "cost_lower_bound", "extension_cmi", "log2_fraction", "purity_seesaw",
     "relent_lower_bound", "relent_ppt_value", "squashed_upper_bound",
 ]

@@ -4,9 +4,12 @@ Subcommands: ``squashed`` (key-rate upper bound), ``lp primal`` / ``lp dual``
 (the purity programmes), ``verify rep`` (exact representation-theory checks),
 ``bounds`` (consolidated table) and ``purity`` (floating see-saw oracle).
 
-Results go to stdout (or ``--out``), diagnostics to stderr.  Exit codes:
-0 success, 1 verification failure, 2 usage error, 3 solver failure or a
-failed internal self-check.
+Each ``cmd_*`` returns ``(params, rows, failure)``: ``failure`` is None or
+the one stderr line of a failed verification.  ``main`` renders the rows once
+to stdout (or ``--out``) and maps every error to one stderr line and an exit
+code through ``FAILURES``.  Exit codes: 0 success, 1 verification failure,
+2 usage error (including a size over a resource guard), 3 solver failure or
+a failed internal self-check.
 """
 
 from __future__ import annotations
@@ -39,10 +42,30 @@ class UsageError(ValueError):
     pass
 
 
-def _row(quantity: str, exact: Fraction | None, decimal: float, source: str,
-         n=None, d=None) -> dict:
+# error type -> (exit code, stderr prefix); the first match wins, so a
+# ResourceLimitError, which is a RuntimeError, is a usage error
+FAILURES = {
+    ResourceLimitError: (EXIT_USAGE, "error"),
+    ValueError: (EXIT_USAGE, "error"),
+    RuntimeError: (EXIT_SOLVER, "solver failure"),
+    ArithmeticError: (EXIT_SOLVER, "internal check failed"),
+}
+
+
+def _row(quantity: str, exact: Fraction | None, source: str, n=None, d=None,
+         decimal: float | None = None) -> dict:
     return {"quantity": quantity, "n": n, "d": d, "exact": exact,
-            "decimal": decimal, "source": source}
+            "decimal": float(exact) if decimal is None else decimal,
+            "source": source}
+
+
+def _flag_row(quantity: str, ok: bool, source: str, **where) -> dict:
+    return _row(quantity, Fraction(int(ok)), source, **where)
+
+
+def _report_row(quantity: str, report: bnd.BoundReport, **where) -> dict:
+    return _row(quantity, report.exact_core, report.source,
+                decimal=report.log2_value, **where)
 
 
 def _fmt_d(d) -> str:
@@ -82,10 +105,8 @@ def render_json(payload: dict) -> str:
          {"num": str(r["exact"].numerator), "den": str(r["exact"].denominator)},
          "d": None if r["d"] is None else ("inf" if r["d"] == math.inf else r["d"])}
         for r in payload["results"]]
-    params = out.get("params")
-    if params:
-        out["params"] = {k: ("inf" if v == math.inf else v)
-                         for k, v in params.items()}
+    out["params"] = {k: ("inf" if v == math.inf else v)
+                     for k, v in payload["params"].items()}
     return json.dumps(out, sort_keys=True, indent=2) + "\n"
 
 
@@ -162,140 +183,103 @@ def _threads_from_env() -> int:
 
 # -- commands -----------------------------------------------------------------
 
-def cmd_squashed(args) -> int:
-    if args.d < 3:
-        raise UsageError("--d must be at least 3")
-    report = bnd.squashed_upper_bound(args.d)
-    rows = [_row("key_upper_bound", report.exact_core, report.log2_value,
-                 report.source, d=args.d),
-            _row("argmin_k", Fraction(report.params["argmin_k"]),
-                 float(report.params["argmin_k"]), "minimising extension size",
-                 d=args.d)]
-    if args.all_k:
-        for k in range(2, args.d + 1):
-            cmi = bnd.extension_cmi(args.d, k)
-            rows.append(_row(f"cmi_k{k}", cmi.ratio, cmi.bits,
-                             "extension conditional mutual information",
-                             d=args.d))
-    emit({"command": "squashed", "params": {"d": args.d, "all_k": args.all_k},
-          "results": rows}, args)
-    return EXIT_OK
-
-
-def _resolve_d(args):
-    if getattr(args, "dinf", False):
-        if getattr(args, "d", None) is not None:
-            raise UsageError("--d and --dinf are mutually exclusive")
-        return math.inf
-    d = getattr(args, "d", None)
-    if d is None:
-        return math.inf
+def _check_d(d: int) -> int:
     if d < 3:
         raise UsageError("--d must be at least 3")
     return d
 
 
-def cmd_lp_primal(args) -> int:
-    d = _resolve_d(args)
-    value, _, _ = prg.solve_purity_bound(
-        args.n, d, parity=args.parity, form=args.form, corner=args.corner)
-    coeff = Fraction(-1, args.n)
-    ec = float(coeff) * bnd.log2_fraction(value)
+def cmd_squashed(args):
+    d = _check_d(args.d)
+    report = bnd.squashed_upper_bound(d)
+    rows = [_report_row("key_upper_bound", report, d=d),
+            _row("argmin_k", Fraction(report.params["argmin_k"]),
+                 "minimising extension size", d=d)]
+    if args.all_k:
+        for k in range(2, d + 1):
+            cmi = bnd.extension_cmi(d, k)
+            rows.append(_row(f"cmi_k{k}", cmi.ratio,
+                             "extension conditional mutual information",
+                             decimal=cmi.bits, d=d))
+    return {"d": d, "all_k": args.all_k}, rows, None
+
+
+def cmd_lp_primal(args):
+    if args.dinf and args.d is not None:
+        raise UsageError("--d and --dinf are mutually exclusive")
+    d = math.inf if args.d is None else _check_d(args.d)
+    n = args.n
+    value = prg.solve_purity_bound(n, d, parity=args.parity, form=args.form,
+                                   corner=args.corner).value
+    ec = bnd.cost_bound_from_purity(value, n, d)
     rows = [
-        _row("purity_bound", value, float(value),
-             "optimum of the symmetry-reduced programme", n=args.n, d=d),
-        _row("ec_lower", value, ec, "-(1/n) log2 of the purity bound",
-             n=args.n, d=d),
-        _row("er_lower", value, ec / 2.0, "-(1/2n) log2 of the purity bound",
-             n=args.n, d=d),
-        _row("dual_value", value, float(value),
-             "dual optimum (certifies the primal)", n=args.n, d=d),
+        _row("purity_bound", value,
+             "optimum of the symmetry-reduced programme", n=n, d=d),
+        _row("ec_lower", value, "-(1/n) log2 of the purity bound",
+             decimal=ec.log2_value, n=n, d=d),
+        _row("er_lower", value, "-(1/2n) log2 of the purity bound",
+             decimal=bnd.relent_lower_bound(ec).log2_value, n=n, d=d),
+        _row("dual_value", value, "dual optimum (certifies the primal)",
+             n=n, d=d),
     ]
-    emit({"command": "lp primal",
-          "params": {"n": args.n, "d": d, "form": args.form or "",
-                     "parity": args.parity, "corner": args.corner},
-          "results": rows}, args)
-    return EXIT_OK
+    return ({"n": n, "d": d, "form": args.form or "", "parity": args.parity,
+             "corner": args.corner}, rows, None)
 
 
-def cmd_lp_dual(args) -> int:
+def cmd_lp_dual(args):
     beta = _parse_fraction(args.beta)
     gamma = _parse_fraction(args.gamma) if args.gamma is not None else None
     point = prg.analytic_dual_point(args.n, beta, gamma)
-    rows = [_row("dual_bound_z", point.z, float(point.z),
-                 "value of the geometric dual point", n=args.n),
-            _row("feasible", Fraction(1 if point.feasible else 0),
-                 1.0 if point.feasible else 0.0,
-                 "all dual constraints hold exactly", n=args.n)]
-    for k, dk in enumerate(point.delta):
-        rows.append(_row(f"delta_{k}", dk, float(dk),
-                         "symmetrised dual weight", n=args.n))
-    emit({"command": "lp dual",
-          "params": {"n": args.n, "beta": str(beta),
-                     "gamma": "" if gamma is None else str(gamma)},
-          "results": rows}, args)
-    return EXIT_OK
+    rows = [_row("dual_bound_z", point.z, "value of the geometric dual point",
+                 n=args.n),
+            _flag_row("feasible", point.feasible,
+                      "all dual constraints hold exactly", n=args.n)]
+    rows += [_row(f"delta_{k}", dk, "symmetrised dual weight", n=args.n)
+             for k, dk in enumerate(point.delta)]
+    return ({"n": args.n, "beta": str(beta),
+             "gamma": "" if gamma is None else str(gamma)}, rows, None)
 
 
-def cmd_bounds(args) -> int:
-    if args.d < 3:
-        raise UsageError("--d must be at least 3")
+def cmd_bounds(args):
+    d = _check_d(args.d)
     if args.n < 1:
         raise UsageError("--n must be positive")
     # The LP and analytic rows come from the limit programme, so they are
     # labelled d=inf; only the closed forms depend on --d.
-    kd = bnd.squashed_upper_bound(args.d)
+    limit = {"n": args.n, "d": prg.DINF}
+    kd = bnd.squashed_upper_bound(d)
     ec_lp = bnd.cost_lower_bound(args.n, prg.DINF, "lp")
     ec_an = bnd.cost_lower_bound(args.n, prg.DINF, "analytic")
-    er_lp = bnd.relent_lower_bound(ec_lp)
-    er_an = bnd.relent_lower_bound(ec_an)
-    er_ppt = bnd.relent_ppt_value(args.d)
     rows = [
-        _row("kd_upper", kd.exact_core, kd.log2_value, kd.source, d=args.d),
-        _row("ec_lower_lp", ec_lp.exact_core, ec_lp.log2_value, ec_lp.source,
-             n=args.n, d=prg.DINF),
-        _row("ec_lower_analytic", ec_an.exact_core, ec_an.log2_value,
-             ec_an.source, n=args.n, d=prg.DINF),
-        _row("er_lower_lp", er_lp.exact_core, er_lp.log2_value, er_lp.source,
-             n=args.n, d=prg.DINF),
-        _row("er_lower_analytic", er_an.exact_core, er_an.log2_value,
-             er_an.source, n=args.n, d=prg.DINF),
-        _row("er_ppt_reference", er_ppt.exact_core, er_ppt.log2_value,
-             er_ppt.source, d=args.d),
+        _report_row("kd_upper", kd, d=d),
+        _report_row("ec_lower_lp", ec_lp, **limit),
+        _report_row("ec_lower_analytic", ec_an, **limit),
+        _report_row("er_lower_lp", bnd.relent_lower_bound(ec_lp), **limit),
+        _report_row("er_lower_analytic", bnd.relent_lower_bound(ec_an),
+                    **limit),
+        _report_row("er_ppt_reference", bnd.relent_ppt_value(d), d=d),
     ]
-    emit({"command": "bounds", "params": {"d": args.d, "n": args.n},
-          "results": rows}, args)
-    return EXIT_OK
+    return {"d": d, "n": args.n}, rows, None
 
 
-def cmd_purity(args) -> int:
+def cmd_purity(args):
     threads = _threads_from_env()
-    if args.d < 3:
-        raise UsageError("--d must be at least 3")
-    try:
-        result = bnd.purity_seesaw(args.n, args.d, restarts=args.restarts,
-                                   iterations=args.iters, seed=args.seed,
-                                   threads=threads)
-    except ResourceLimitError as exc:
-        raise UsageError(str(exc))
-    value, _, _ = prg.solve_purity_bound(args.n, args.d, form="full3")
+    d, n = _check_d(args.d), args.n
+    result = bnd.purity_seesaw(n, d, restarts=args.restarts,
+                               iterations=args.iters, seed=args.seed,
+                               threads=threads)
+    value = prg.solve_purity_bound(n, d, form="full3").value
     ok = result.value <= float(value) + 1e-6
     rows = [
-        _row("purity_seesaw", None, result.value,
+        _row("purity_seesaw", None,
              "see-saw estimate of the maximum purity (floating point, "
-             "not certified)",
-             n=args.n, d=args.d),
-        _row("purity_lp_bound", value, float(value),
-             "exact LP upper bound", n=args.n, d=args.d),
-        _row("sandwich_ok", Fraction(1 if ok else 0), 1.0 if ok else 0.0,
-             "see-saw <= LP bound + 1e-6", n=args.n, d=args.d),
+             "not certified)", decimal=result.value, n=n, d=d),
+        _row("purity_lp_bound", value, "exact LP upper bound", n=n, d=d),
+        _flag_row("sandwich_ok", ok, "see-saw <= LP bound + 1e-6", n=n, d=d),
     ]
-    emit({"command": "purity",
-          "params": {"d": args.d, "n": args.n, "restarts": args.restarts,
-                     "iters": args.iters, "seed": args.seed,
-                     "threads": threads},
-          "results": rows}, args)
-    return EXIT_OK if ok else EXIT_VERIFY
+    return ({"d": d, "n": n, "restarts": args.restarts, "iters": args.iters,
+             "seed": args.seed, "threads": threads}, rows,
+            None if ok else "verification failed: sandwich_ok")
 
 
 # -- exact verification battery -------------------------------------------------
@@ -352,10 +336,8 @@ def _verification_checks(d: int, level: str):
         got = prj.pair_flip_signs(d)
         return all(got[s] == expected[s] for s in shapes)
 
-    def overlaps_symbolic_ok():
-        table = prj.symbolic_overlap_table(d)
-        forms = prj.overlap_closed_forms(d)
-        return (table.values == forms.values
+    def overlaps_ok(table):
+        return (table.values == prj.overlap_closed_forms(d).values
                 and all(s == 1 for s in table.column_sums()))
 
     yield "plethysm dimensions", dims_ok
@@ -364,7 +346,8 @@ def _verification_checks(d: int, level: str):
     yield "projector traces", traces_ok
     yield "flip expectations", flips_ok
     yield "pair flip signs", signs_ok
-    yield "transpose overlaps (symbolic)", overlaps_symbolic_ok
+    yield ("transpose overlaps (symbolic)",
+           lambda: overlaps_ok(prj.symbolic_overlap_table(d)))
 
     if level != "full":
         return
@@ -407,37 +390,24 @@ def _verification_checks(d: int, level: str):
         expected = (F(1), F(d * d - 1), F((d * (d - 1) // 2) ** 2 - d * d))
         return (bell.trace(), adjoint.trace(), tail.trace()) == expected
 
-    def overlaps_matrix_ok():
-        table = prj.ppt_overlap_table(d)
-        forms = prj.overlap_closed_forms(d)
-        return (table.values == forms.values
-                and all(s == 1 for s in table.column_sums()))
-
     yield "projector matrices (restricted)", projector_matrices_ok
     yield "reduced pair states", reduced_states_ok
     yield "invariant projectors", invariant_projectors_ok
-    yield "transpose overlaps (matrix)", overlaps_matrix_ok
+    yield ("transpose overlaps (matrix)",
+           lambda: overlaps_ok(prj.ppt_overlap_table(d)))
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args):
     if not 3 <= args.d <= 7:
         raise UsageError("--d must lie in 3..7")
-    rows = []
-    failures = []
+    rows, failure = [], None
     for name, thunk in _verification_checks(args.d, args.level):
         ok = bool(thunk())
-        rows.append(_row(name.replace(" ", "_"), Fraction(1 if ok else 0),
-                         1.0 if ok else 0.0,
-                         "exact identity check", d=args.d))
-        if not ok:
-            failures.append(name)
-    emit({"command": "verify rep",
-          "params": {"d": args.d, "level": args.level},
-          "results": rows}, args)
-    if failures:
-        print(f"verification failed: {failures[0]}", file=sys.stderr)
-        return EXIT_VERIFY
-    return EXIT_OK
+        rows.append(_flag_row(name.replace(" ", "_"), ok,
+                              "exact identity check", d=args.d))
+        if not ok and failure is None:
+            failure = f"verification failed: {name}"
+    return {"d": args.d, "level": args.level}, rows, failure
 
 
 # -- parser ---------------------------------------------------------------------
@@ -471,14 +441,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--form", choices=prg.FORMS, default=None)
     p.add_argument("--parity", choices=prg.PARITIES, default="none")
     p.add_argument("--corner", choices=prj.CORNER_VARIANTS, default="derived")
-    p.set_defaults(func=cmd_lp_primal)
+    p.set_defaults(func=cmd_lp_primal, command="lp primal")
 
     p = lp_sub.add_parser("dual", parents=[common],
                           help="evaluate the geometric dual point")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--beta", default="1/2")
     p.add_argument("--gamma", default=None)
-    p.set_defaults(func=cmd_lp_dual)
+    p.set_defaults(func=cmd_lp_dual, command="lp dual")
 
     verify = sub.add_parser("verify", help="exact verification batteries")
     verify_sub = verify.add_subparsers(dest="verify_command", required=True)
@@ -486,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
                               help="representation-theoretic identities")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--level", choices=("fast", "full"), default="fast")
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func=cmd_verify, command="verify rep")
 
     p = sub.add_parser("bounds", parents=[common],
                        help="consolidated bound table")
@@ -507,24 +477,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.out:
             _check_writable(args.out)
-        return args.func(args)
-    except ValueError as exc:
-        # UsageError and domain errors raised by the library
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except RuntimeError as exc:
-        # simplex.SolverError is a RuntimeError
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    except ArithmeticError as exc:
-        # a failed exact self-check (closed form against scan, purity <= 1)
-        print(f"internal check failed: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+        params, rows, failure = args.func(args)
+        emit({"command": args.command, "params": params, "results": rows},
+             args)
+    except tuple(FAILURES) as exc:
+        code, prefix = next(FAILURES[kind] for kind in FAILURES
+                            if isinstance(exc, kind))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
+    if failure is None:
+        return EXIT_OK
+    print(failure, file=sys.stderr)
+    return EXIT_VERIFY
 
 
 if __name__ == "__main__":

@@ -95,6 +95,10 @@ def test_json_round_trip_and_determinism(capsys):
     (("lp", "primal", "--n", "6", "--dinf"), "lp_primal_n6_dinf"),
     (("verify", "rep", "--d", "4", "--level", "full"), "verify_rep_d4_full"),
     (("verify", "rep", "--d", "7", "--level", "fast"), "verify_rep_d7_fast"),
+    (("squashed", "--d", "5", "--all-k"), "squashed_d5_all_k"),
+    (("lp", "dual", "--n", "6", "--beta", "1/3", "--gamma", "1/64"),
+     "lp_dual_n6_beta1_3_gamma1_64"),
+    (("bounds", "--d", "4", "--n", "8"), "bounds_d4_n8"),
 ])
 @pytest.mark.parametrize("fmt, ext", [("text", "txt"), ("json", "json"),
                                       ("csv", "csv")])
@@ -298,15 +302,24 @@ def test_unwritable_out_fails_before_the_command_runs(tmp_path, capsys,
     from antisym import cli
 
     calls = []
-    monkeypatch.setattr(cli, "_verification_checks",
-                        lambda *args: calls.append(args) or iter(()))
+    for module, name in ((cli, "_verification_checks"),
+                         (cli.bnd, "squashed_upper_bound"),
+                         (cli.bnd, "purity_seesaw"),
+                         (cli.prg, "solve_purity_bound"),
+                         (cli.prg, "analytic_dual_point")):
+        monkeypatch.setattr(module, name,
+                            lambda *args, name=name, **kw: calls.append(name))
     target = tmp_path / "nonexistent" / "x"
-    code, out, err = run(capsys, "verify", "rep", "--d", "6", "--level",
-                         "full", "--out", str(target))
-    assert code == 2
-    assert out == "" and calls == []
-    assert err == f"error: cannot write {target}: No such file or directory\n"
-    assert not target.parent.exists()
+    for argv in (("squashed", "--d", "5"), ("lp", "primal", "--n", "4"),
+                 ("lp", "dual", "--n", "4"), ("bounds", "--d", "4", "--n", "8"),
+                 ("verify", "rep", "--d", "6", "--level", "full"),
+                 ("purity", "--d", "4", "--n", "2")):
+        code, out, err = run(capsys, *argv, "--out", str(target))
+        assert code == 2, argv
+        assert out == "" and calls == []
+        assert err == (f"error: cannot write {target}: "
+                       "No such file or directory\n")
+        assert not target.parent.exists()
 
 
 def test_out_file_is_not_created_by_a_failed_command(tmp_path, capsys):
@@ -333,6 +346,51 @@ def test_solver_failure_exit_code(capsys, monkeypatch):
     code, _, err = run(capsys, "lp", "primal", "--n", "2", "--dinf")
     assert code == 3
     assert "solver failure" in err
+
+
+@pytest.mark.parametrize("argv, module, target", [
+    (("lp", "primal", "--n", "2", "--dinf"), "prg", "solve_purity_bound"),
+    (("squashed", "--d", "5"), "bnd", "squashed_upper_bound"),
+])
+@pytest.mark.parametrize("error, code, prefix", [
+    ("UsageError", 2, "error"),
+    ("ResourceLimitError", 2, "error"),
+    ("SolverError", 3, "solver failure"),
+    ("ArithmeticError", 3, "internal check failed"),
+])
+def test_every_failure_exits_with_its_documented_code(capsys, monkeypatch,
+                                                      argv, module, target,
+                                                      error, code, prefix):
+    from antisym import cli
+    from antisym.seesaw import ResourceLimitError
+    from antisym.simplex import SolverError
+
+    kinds = {"UsageError": cli.UsageError,
+             "ResourceLimitError": ResourceLimitError,
+             "SolverError": SolverError, "ArithmeticError": ArithmeticError}
+
+    def boom(*args, **kwargs):
+        raise kinds[error]("synthetic failure")
+
+    monkeypatch.setattr(getattr(cli, module), target, boom)
+    assert run(capsys, *argv) == (code, "", f"{prefix}: synthetic failure\n")
+
+
+def test_purity_sandwich_failure_names_the_failed_check(capsys, monkeypatch):
+    from antisym import cli
+    from antisym.seesaw import PurityResult
+
+    # the exact maximum purity at d=3, n=1 is 1/2; a see-saw value above
+    # it breaks the sandwich
+    monkeypatch.setattr(cli.bnd, "purity_seesaw",
+                        lambda n, d, **kw: PurityResult(0.75, n, d, 1, 1, 0))
+    code, out, err = run(capsys, "purity", "--d", "3", "--n", "1",
+                         "--format", "json")
+    assert code == 1
+    assert err == "verification failed: sandwich_ok\n"
+    rows = {r["quantity"]: r for r in json.loads(out)["results"]}
+    assert rows["sandwich_ok"]["exact"] == {"num": "0", "den": "1"}
+    assert rows["purity_seesaw"]["decimal"] == 0.75
 
 
 def test_bounds_rows_name_the_programme_they_come_from(capsys):
