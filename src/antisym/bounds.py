@@ -11,10 +11,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
-from .programs import DINF, analytic_dual_point, solve_purity_bound
+from .programs import DINF, analytic_dual_point
 from .seesaw import PurityResult, purity_seesaw  # re-exported oracle
-
-LOG_TOLERANCE = 1e-12
 
 
 def log2_fraction(value: Fraction) -> float:
@@ -35,22 +33,16 @@ def binary_entropy(p: float) -> float:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """A bound: exact rational core plus its floating log2 rendering.
-
-    ``log2_value`` equals ``core_coeff * log2(exact_core)`` whenever the core
-    is present; ``consistent`` re-checks that identity.
-    """
-    log2_value: float
-    exact_core: Fraction | None = None
-    core_coeff: Fraction | None = None
+    """A bound ``core_coeff * log2(exact_core)``: an exact rational core and
+    coefficient, rendered in double precision by ``log2_value``."""
+    exact_core: Fraction
+    core_coeff: Fraction
     params: dict = field(default_factory=dict)
     source: str = ""
 
-    def consistent(self, tol: float = LOG_TOLERANCE) -> bool:
-        if self.exact_core is None:
-            return True
-        expected = float(self.core_coeff) * log2_fraction(self.exact_core)
-        return abs(self.log2_value - expected) <= tol
+    @property
+    def log2_value(self) -> float:
+        return float(self.core_coeff) * log2_fraction(self.exact_core)
 
 
 class ExtensionCmi(NamedTuple):
@@ -110,7 +102,6 @@ def squashed_upper_bound(d: int) -> BoundReport:
     if best_k != expected_k:
         raise ArithmeticError(f"minimiser k={best_k}, expected {expected_k}")
     return BoundReport(
-        log2_value=float(coeff) * log2_fraction(core),
         exact_core=core,
         core_coeff=coeff,
         params={"d": d, "argmin_k": best_k, "min_ratio": best_ratio},
@@ -118,37 +109,26 @@ def squashed_upper_bound(d: int) -> BoundReport:
     )
 
 
-def cost_lower_bound(n: int, d=DINF, mode: str = "lp") -> BoundReport:
-    """Lower bound on the entanglement cost: -(1/n) log2 of the purity bound.
-
-    ``analytic`` uses the geometric dual certificate (3/4)^n, giving the
-    n-free constant log2(4/3); ``lp`` solves the exact programme at the given
-    dimension (the truncated limit programme when d is infinite).
-    """
-    if mode == "analytic":
-        point = analytic_dual_point(n)
-        if not point.feasible or point.z != Fraction(3, 4) ** n:
-            raise ArithmeticError("geometric dual point failed")
-        return BoundReport(
-            log2_value=log2_fraction(Fraction(4, 3)),
-            exact_core=Fraction(4, 3),
-            core_coeff=Fraction(1),
-            params={"n": n, "d": d, "certificate": point.z},
-            source="dual certificate of the purity programme",
-        )
-    if mode != "lp":
-        raise ValueError("mode must be 'lp' or 'analytic'")
-    return cost_bound_from_purity(solve_purity_bound(n, d).value, n, d)
+def analytic_cost_bound(n: int) -> BoundReport:
+    """Lower bound log2(4/3) on the entanglement cost, for every n: the
+    geometric dual certificate (3/4)^n of the n-copy purity programme."""
+    point = analytic_dual_point(n)
+    if not point.feasible or point.z != Fraction(3, 4) ** n:
+        raise ArithmeticError("geometric dual point failed")
+    return BoundReport(
+        exact_core=Fraction(4, 3),
+        core_coeff=Fraction(1),
+        params={"n": n, "certificate": point.z},
+        source="dual certificate of the purity programme",
+    )
 
 
 def cost_bound_from_purity(value: Fraction, n: int, d=DINF) -> BoundReport:
     """The cost bound -(1/n) log2(value) of an n-copy purity bound ``value``
     (an optimum of the programme at dimension d)."""
-    coeff = Fraction(-1, n)
     return BoundReport(
-        log2_value=float(coeff) * log2_fraction(value),
         exact_core=value,
-        core_coeff=coeff,
+        core_coeff=Fraction(-1, n),
         params={"n": n, "d": d},
         source="exact purity programme optimum",
     )
@@ -157,9 +137,9 @@ def cost_bound_from_purity(value: Fraction, n: int, d=DINF) -> BoundReport:
 def relent_lower_bound(cost: BoundReport) -> BoundReport:
     """Lower bound on the regularised relative entropy of entanglement with
     respect to separable states: half the cost bound ``cost`` (from
-    ``cost_lower_bound``), via the sup-norm <= square root of the purity."""
+    ``analytic_cost_bound`` or ``cost_bound_from_purity``), via the sup-norm
+    <= square root of the purity."""
     return BoundReport(
-        log2_value=cost.log2_value / 2.0,
         exact_core=cost.exact_core,
         core_coeff=cost.core_coeff / 2,
         params=dict(cost.params),
@@ -174,7 +154,6 @@ def relent_ppt_value(d: int) -> BoundReport:
         raise ValueError("d must be at least 3")
     core = Fraction(d + 2, d)
     return BoundReport(
-        log2_value=log2_fraction(core),
         exact_core=core,
         core_coeff=Fraction(1),
         params={"d": d},
@@ -192,8 +171,8 @@ def continuity_bound(eps: float, d: int) -> float:
 
 
 __all__ = [
-    "BoundReport", "ExtensionCmi", "PurityResult",
+    "BoundReport", "ExtensionCmi", "PurityResult", "analytic_cost_bound",
     "binary_entropy", "continuity_bound", "cost_bound_from_purity",
-    "cost_lower_bound", "extension_cmi", "log2_fraction", "purity_seesaw",
-    "relent_lower_bound", "relent_ppt_value", "squashed_upper_bound",
+    "extension_cmi", "log2_fraction", "purity_seesaw", "relent_lower_bound",
+    "relent_ppt_value", "squashed_upper_bound",
 ]

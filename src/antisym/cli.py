@@ -248,8 +248,9 @@ def cmd_bounds(args):
     # labelled d=inf; only the closed forms depend on --d.
     limit = {"n": args.n, "d": prg.DINF}
     kd = bnd.squashed_upper_bound(d)
-    ec_lp = bnd.cost_lower_bound(args.n, prg.DINF, "lp")
-    ec_an = bnd.cost_lower_bound(args.n, prg.DINF, "analytic")
+    ec_lp = bnd.cost_bound_from_purity(prg.solve_purity_bound(args.n).value,
+                                       args.n)
+    ec_an = bnd.analytic_cost_bound(args.n)
     rows = [
         _report_row("kd_upper", kd, d=d),
         _report_row("ec_lower_lp", ec_lp, **limit),
@@ -412,6 +413,14 @@ def cmd_verify(args):
 
 # -- parser ---------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """A malformed command line is a usage error: one stderr line, exit 2.
+    Subparsers are built with the parent's class, so they inherit this."""
+
+    def error(self, message: str):
+        self.exit(EXIT_USAGE, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json", "csv"),
@@ -419,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", metavar="FILE",
                         help="write results to FILE instead of stdout")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="antisym",
         description="Exact entanglement bounds for the antisymmetric state.")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -78,40 +78,19 @@ class SparseRMatrix:
     combinations thereof and their restrictions and reductions.  The storage
     is canonical: no zero numerator is stored and ``gcd(den, *nums) == 1``
     (the zero matrix has ``den == 1``), so two matrices are equal exactly when
-    their dimensions, denominators and numerator dicts are.  Every matrix,
-    from the constructor or from ``from_ints``, passes through ``_finish``,
-    which establishes that form with one ``math.gcd``.
+    their dimensions, denominators and numerator dicts are.  The constructor
+    establishes that form with one ``math.gcd``.
     """
 
     __slots__ = ("n", "nums", "den", "factor_dims")
 
-    def __init__(self, n: int, data: dict[tuple[int, int], Fraction] | None = None,
+    def __init__(self, n: int, nums: dict[tuple[int, int], int], den: int = 1,
                  factor_dims: Iterable[int] | None = None):
-        if n <= 0:
-            raise ShapeError("matrix dimension must be positive")
-        entries = {}
-        for k, v in (data or {}).items():
-            r, c = k
-            if not (0 <= r < n and 0 <= c < n):
-                raise ShapeError(f"entry {k} outside a {n}x{n} matrix")
-            entries[k] = _frac(v)    # the caller's key: no second tuple
-        nums, den = _lowest_terms(list(entries.values()))
-        self._finish(n, dict(zip(entries, nums)), den,
-                     _check_factor_dims(factor_dims, n))
-
-    @classmethod
-    def from_ints(cls, n: int, nums: dict[tuple[int, int], int], den: int,
-                  factor_dims: Iterable[int] | None = None) -> "SparseRMatrix":
         """The matrix ``nums / den`` from int numerators, zeros allowed, over
         a positive int denominator.  Keys and values are trusted, not checked.
         The matrix may keep ``nums`` as its storage: do not change it later."""
-        out = cls.__new__(cls)
-        out._finish(n, nums, den, _check_factor_dims(factor_dims, n))
-        return out
-
-    def _finish(self, n: int, nums: dict[tuple[int, int], int], den: int,
-                factor_dims: tuple[int, ...] | None) -> None:
-        """Store ``nums / den`` in canonical form."""
+        if n <= 0:
+            raise ShapeError("matrix dimension must be positive")
         g = gcd(den, *nums.values())      # a zero numerator does not move it
         if g != 1 or not all(nums.values()):
             nums = {k: v // g for k, v in nums.items() if v}
@@ -119,19 +98,13 @@ class SparseRMatrix:
         self.n = n
         self.nums = nums
         self.den = den
-        self.factor_dims = factor_dims
+        self.factor_dims = _check_factor_dims(factor_dims, n)
 
     @classmethod
     def identity(cls, n: int, factor_dims: Iterable[int] | None = None
                  ) -> "SparseRMatrix":
-        return cls.from_ints(n, dict.fromkeys(((i, i) for i in range(n)), 1),
-                             1, factor_dims)
-
-    @property
-    def data(self) -> dict[tuple[int, int], Fraction]:
-        """The entries as a new ``{(row, col): Fraction}`` dict (a copy)."""
-        den = self.den
-        return {k: Fraction(v, den) for k, v in self.nums.items()}
+        return cls(n, dict.fromkeys(((i, i) for i in range(n)), 1), 1,
+                   factor_dims)
 
     def _same_shape(self, other: "SparseRMatrix") -> None:
         if self.n != other.n:
@@ -146,7 +119,7 @@ class SparseRMatrix:
                else {k: f * v for k, v in self.nums.items()})
         for k, v in other.nums.items():
             out[k] = out.get(k, 0) + g * v
-        return SparseRMatrix.from_ints(self.n, out, den, self.factor_dims)
+        return SparseRMatrix(self.n, out, den, self.factor_dims)
 
     def __sub__(self, other: "SparseRMatrix") -> "SparseRMatrix":
         return self + other.scale(-1)
@@ -154,7 +127,7 @@ class SparseRMatrix:
     def scale(self, r: RationalLike) -> "SparseRMatrix":
         r = _frac(r)
         num = r.numerator
-        return SparseRMatrix.from_ints(
+        return SparseRMatrix(
             self.n, {k: num * v for k, v in self.nums.items()},
             self.den * r.denominator, self.factor_dims)
 
@@ -168,8 +141,8 @@ class SparseRMatrix:
             for c2, v2 in rows.get(c, ()):
                 key = (r, c2)
                 out[key] = out.get(key, 0) + v * v2
-        return SparseRMatrix.from_ints(self.n, out, self.den * other.den,
-                                       self.factor_dims)
+        return SparseRMatrix(self.n, out, self.den * other.den,
+                             self.factor_dims)
 
     def trace(self) -> Fraction:
         return Fraction(sum(v for (r, c), v in self.nums.items() if r == c),
@@ -222,8 +195,7 @@ class SparseRMatrix:
             cdrop, cc = split[c]
             if rdrop == cdrop:
                 out[(rr, cc)] = out.get((rr, cc), 0) + v
-        return SparseRMatrix.from_ints(prod(kdims), out, self.den,
-                                       kdims or (1,))
+        return SparseRMatrix(prod(kdims), out, self.den, kdims or (1,))
 
     def partial_transpose(self, flip: Iterable[int]) -> "SparseRMatrix":
         """Transpose the factors in ``flip`` (0-based); an involution."""
@@ -235,7 +207,7 @@ class SparseRMatrix:
             for k in flip:
                 rd[k], cd[k] = cd[k], rd[k]
             out[(_from_digits(rd, dims), _from_digits(cd, dims))] = v
-        return SparseRMatrix.from_ints(self.n, out, self.den, dims)
+        return SparseRMatrix(self.n, out, self.den, dims)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparseRMatrix):

@@ -58,10 +58,6 @@ def compositions(n: int, s: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def multinomial(counts: tuple[int, ...]) -> int:
-    return factorial(sum(counts)) // prod(factorial(c) for c in counts)
-
-
 @dataclass(frozen=True)
 class SymLP:
     """A permutation-symmetric tensor-power LP, reduced to count types.
@@ -184,15 +180,6 @@ def build_purity_bound(n: int, d=DINF, parity: str = "none",
                  normalization=normalization, types=types, row_types=row_types)
 
 
-def drop_first_row(symlp: SymLP) -> SymLP:
-    """Relaxation that deletes the first single-copy constraint row."""
-    rows = symlp.rows[1:]
-    return SymLP(n=symlp.n, symbols=symlp.symbols, weights=symlp.weights,
-                 rows=rows, normalization=symlp.normalization,
-                 types=symlp.types,
-                 row_types=tuple(compositions(symlp.n, len(rows))))
-
-
 class PurityBound(NamedTuple):
     value: Fraction
     solution: LPSolution
@@ -207,30 +194,6 @@ def solve_purity_bound(n: int, d=DINF, parity: str = "none",
     if sol.status != "optimal":
         raise RuntimeError(f"purity LP unexpectedly {sol.status}")
     return PurityBound(sol.value, sol, symlp)
-
-
-def substitute_tail_masses(masses: dict[tuple[int, int, int], Fraction]
-                           ) -> dict[tuple[int, int], Fraction]:
-    """Feasible-point mapper from three-shape types to two-shape types.
-
-    Each tail occurrence is replaced by the mixture 1/3 first shape + 2/3
-    second shape; the image point has the same objective value and satisfies
-    the truncated constraints whenever the source satisfied the last two rows.
-    """
-    out: dict[tuple[int, int], Fraction] = {}
-    third = Fraction(1, 3)
-    for (i, j, t), mass in masses.items():
-        if mass == 0:
-            continue
-        for l in range(t + 1):
-            w = comb(t, l) * third ** l * (2 * third) ** (t - l)
-            key = (i + l, j + t - l)
-            out[key] = out.get(key, Fraction(0)) + mass * w
-    return out
-
-
-def type_masses(symlp: SymLP, solution: LPSolution) -> dict[tuple[int, ...], Fraction]:
-    return {t: v for t, v in zip(symlp.types, solution.x) if v != 0}
 
 
 # -- the reduced dual of the truncated programme -------------------------------

@@ -175,7 +175,7 @@ class GroupAlgebraElement:
             w = c.numerator * (den // c.denominator)
             for key in _perm_pairs(p.images, d):
                 sums[key] = sums.get(key, 0) + w
-        return SparseRMatrix.from_ints(d ** 4, sums, den, (d, d, d, d))
+        return SparseRMatrix(d ** 4, sums, den, (d, d, d, d))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, GroupAlgebraElement)
@@ -196,14 +196,6 @@ def _perm_pairs(images: tuple[int, int, int, int], d: int
     return tuple(zip((a * w0 + b * w1 + x * w2 + y * w3
                       for a, b, x, y in product(range(d), repeat=4)),
                      range(d ** 4)))
-
-
-def perm_operator(perm: Perm4, d: int) -> SparseRMatrix:
-    """Sparse operator permuting the tensor factors of (C^d)^{x4} by ``perm``."""
-    if d < 2:
-        raise ValueError("d must be at least 2")
-    return SparseRMatrix.from_ints(
-        d ** 4, dict.fromkeys(_perm_pairs(perm.images, d), 1), 1, (d, d, d, d))
 
 
 # -- Young projectors --------------------------------------------------------
@@ -314,7 +306,7 @@ class PairBasis:
                 continue
             key = (row[0], col[0])
             out[key] = out.get(key, 0) + (v if row[1] == col[1] else -v)
-        return SparseRMatrix.from_ints(m * m, out, op.den * 4, (m, m))
+        return SparseRMatrix(m * m, out, op.den * 4, (m, m))
 
     # compressed building blocks ------------------------------------------
 
@@ -337,7 +329,7 @@ class PairBasis:
                         c = ((k * d + l) * d + k) * d + l
                         data[r, c] = 1
         return self.restrict(
-            SparseRMatrix.from_ints(d ** 4, data, d * d, (d, d, d, d)))
+            SparseRMatrix(d ** 4, data, d * d, (d, d, d, d)))
 
     def restricted_one_phi(self) -> SparseRMatrix:
         """Restriction of 1_{AA'} x Phi_{BB'}."""
@@ -351,7 +343,7 @@ class PairBasis:
                         c = ((a * d + l) * d + ap) * d + l
                         data[r, c] = 1
         return self.restrict(
-            SparseRMatrix.from_ints(d ** 4, data, d, (d, d, d, d)))
+            SparseRMatrix(d ** 4, data, d, (d, d, d, d)))
 
 
 # -- the three invariant projectors across the AB:A'B' cut --------------------
@@ -415,7 +407,7 @@ def pair_flip_signs(d: int) -> dict[Partition, Fraction]:
 def flip_matrix(d: int) -> SparseRMatrix:
     """The swap operator F|ij> = |ji> on C^d x C^d."""
     swap = {(j * d + i, i * d + j): 1 for i in range(d) for j in range(d)}
-    return SparseRMatrix.from_ints(d * d, swap, 1, (d, d))
+    return SparseRMatrix(d * d, swap, 1, (d, d))
 
 
 def reduced_pair_state(shape: Partition, d: int) -> SparseRMatrix:

@@ -2,8 +2,8 @@
 
 This is the only module whose floating-point results are reported (the
 simplex's float basis guess only steers exact pivoting).  Its result is a
-floating-point estimate from below, not certified (see ROADMAP item 7, exact
-sandwich), of the maximum purity of the A-side reduction over unit vectors in
+floating-point estimate from below, not certified (see the exact sandwich in
+ROADMAP.md), of the maximum purity of the A-side reduction over unit vectors in
 the n-fold tensor power of the antisymmetric pair subspace; cf. the LP bounds.
 
 A state is m^n coefficients over products of the m = d(d-1)/2 pair vectors

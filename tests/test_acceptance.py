@@ -9,9 +9,9 @@ import random
 import time
 from fractions import Fraction as F
 
-from antisym.bounds import (cost_lower_bound, purity_seesaw,
-                            relent_lower_bound, relent_ppt_value,
-                            squashed_upper_bound)
+from antisym.bounds import (analytic_cost_bound, cost_bound_from_purity,
+                            purity_seesaw, relent_lower_bound,
+                            relent_ppt_value, squashed_upper_bound)
 from antisym.programs import (DINF, analytic_dual_point, build_dual,
                               solve_dual, solve_purity_bound)
 from antisym.projectors import (PairBasis, YOUNG_SHAPES, flip_matrix,
@@ -65,11 +65,11 @@ def test_criterion_2_analytic_dual_certificate():
 
 
 def test_criterion_3_cost_bounds():
-    analytic = cost_lower_bound(9, mode="analytic")
+    analytic = analytic_cost_bound(9)
     expected = math.log2(4.0) - math.log2(3.0)
     assert abs(analytic.log2_value - expected) <= 1e-9
     assert abs(analytic.log2_value - 0.415037) <= 1e-6
-    lp = cost_lower_bound(12, DINF, mode="lp")
+    lp = cost_bound_from_purity(solve_purity_bound(12, DINF).value, 12, DINF)
     assert lp.exact_core == F(26, 1119)
     expected_lp = (math.log2(1119) - math.log2(26)) / 12
     assert abs(lp.log2_value - expected_lp) <= 1e-9
@@ -81,7 +81,7 @@ def test_criterion_4_dimension_three_values():
     for n in range(1, 7):
         value, sol, _ = solve_purity_bound(n, 3, form="full3")
         assert value == F(1, 2 ** n), n
-        bound = cost_lower_bound(n, 3, mode="lp")
+        bound = cost_bound_from_purity(value, n, 3)
         assert bound.log2_value == 1.0, n     # formation bound n * 1 = n
     report(4, "three-dimensional programme gives 2^-n exactly for n <= 6")
 
@@ -170,7 +170,7 @@ def test_criterion_8_seesaw_sandwich():
 
 
 def test_criterion_9_relative_entropy_bounds():
-    analytic = relent_lower_bound(cost_lower_bound(7, mode="analytic"))
+    analytic = relent_lower_bound(analytic_cost_bound(7))
     expected = (math.log2(4.0) - math.log2(3.0)) / 2
     assert abs(analytic.log2_value - expected) <= 1e-9
     assert abs(analytic.log2_value - 0.207518) <= 1e-6

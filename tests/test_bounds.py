@@ -6,9 +6,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from antisym.bounds import (binary_entropy, continuity_bound, cost_lower_bound,
+from antisym.bounds import (analytic_cost_bound, binary_entropy,
+                            continuity_bound, cost_bound_from_purity,
                             extension_cmi, log2_fraction, relent_lower_bound,
                             relent_ppt_value, squashed_upper_bound)
+from antisym.programs import solve_purity_bound
 
 
 def test_extension_cmi_examples():
@@ -35,7 +37,6 @@ def test_squashed_upper_bound_even():
     assert report.exact_core == F(3, 2)
     assert report.params["argmin_k"] == 3
     assert abs(report.log2_value - math.log2(1.5)) < 1e-15
-    assert report.consistent()
 
 
 def test_squashed_upper_bound_odd():
@@ -43,7 +44,6 @@ def test_squashed_upper_bound_odd():
     assert report.exact_core == F(2)
     assert report.params["argmin_k"] == 3
     assert report.log2_value == 0.5
-    assert report.consistent()
 
 
 def test_squashed_upper_bound_large_d():
@@ -69,36 +69,42 @@ def test_squashed_argmin_ranges():
         assert squashed_upper_bound(d).params["argmin_k"] == (d + 1) // 2
 
 
+def lp_cost_bound(n, d=math.inf):
+    return cost_bound_from_purity(solve_purity_bound(n, d).value, n, d)
+
+
 def test_cost_lower_bound_analytic():
-    report = cost_lower_bound(8, mode="analytic")
+    report = analytic_cost_bound(8)
     assert report.exact_core == F(4, 3)
+    assert report.params["certificate"] == F(3, 4) ** 8
     assert abs(report.log2_value - 0.41503749927884376) < 1e-12
-    assert report.consistent()
 
 
 def test_cost_lower_bound_lp():
-    report = cost_lower_bound(12, mode="lp")
+    report = lp_cost_bound(12)
     assert report.exact_core == F(26, 1119)
     expected = -log2_fraction(F(26, 1119)) / 12
     assert abs(report.log2_value - expected) < 1e-15
     assert abs(report.log2_value - 0.4523) < 5e-4
-    assert report.consistent()
 
 
 def test_cost_lower_bound_dimension_three():
-    report = cost_lower_bound(4, 3, mode="lp")
+    report = lp_cost_bound(4, 3)
     assert report.exact_core == F(1, 16)
     assert report.log2_value == 1.0
 
 
 def test_relent_lower_bounds():
-    analytic = relent_lower_bound(cost_lower_bound(5, mode="analytic"))
+    analytic = relent_lower_bound(analytic_cost_bound(5))
     assert abs(analytic.log2_value - 0.2075187496394219) < 1e-12
-    assert analytic.consistent()
-    lp1 = relent_lower_bound(cost_lower_bound(1, mode="lp"))
+    lp1 = relent_lower_bound(lp_cost_bound(1))
     assert lp1.exact_core == F(1, 2)
     assert lp1.log2_value == 0.5
-    assert lp1.consistent()
+    # halving is exact in binary floating point, so the decimal computed
+    # from the halved coefficient is bit for bit half the cost decimal
+    costs = [analytic_cost_bound(3)] + [lp_cost_bound(n) for n in range(1, 9)]
+    for cost in costs:
+        assert relent_lower_bound(cost).log2_value == cost.log2_value / 2.0
 
 
 def test_relent_ppt_reference():

@@ -99,6 +99,9 @@ def test_json_round_trip_and_determinism(capsys):
     (("lp", "dual", "--n", "6", "--beta", "1/3", "--gamma", "1/64"),
      "lp_dual_n6_beta1_3_gamma1_64"),
     (("bounds", "--d", "4", "--n", "8"), "bounds_d4_n8"),
+    (("squashed", "--d", "4"), "squashed_d4"),
+    (("lp", "primal", "--n", "4", "--d", "5", "--parity", "even"),
+     "lp_primal_n4_d5_even"),
 ])
 @pytest.mark.parametrize("fmt, ext", [("text", "txt"), ("json", "json"),
                                       ("csv", "csv")])
@@ -329,10 +332,19 @@ def test_out_file_is_not_created_by_a_failed_command(tmp_path, capsys):
     assert not target.exists()
 
 
-def test_usage_error_exit_code():
-    with pytest.raises(SystemExit) as exc:
-        main(["lp", "primal"])   # missing required --n
-    assert exc.value.code == 2
+def test_usage_error_exit_code(capsys):
+    # a malformed command line exits 2 with one stderr line
+    for argv, message in [
+            (["lp", "primal"], "the following arguments are required: --n"),
+            (["squashed", "--d", "4", "--format", "xml"],
+             "argument --format: invalid choice: 'xml'")]:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}")
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
 
 
 def test_solver_failure_exit_code(capsys, monkeypatch):

@@ -10,10 +10,8 @@ from hypothesis import strategies as st
 
 from antisym.programs import (DINF, SymLP, analytic_dual_point,
                               build_dual, build_purity_bound, build_unreduced,
-                              compositions, drop_first_row, dual_coeff,
-                              multinomial, single_copy, solve_dual,
-                              solve_purity_bound, substitute_tail_masses,
-                              type_masses)
+                              compositions, dual_coeff, single_copy,
+                              solve_dual, solve_purity_bound)
 from antisym.simplex import LPProblem, simplex_solve
 
 GOLDEN = {1: F(1, 2), 2: F(1, 2), 4: F(1, 4), 6: F(1, 7),
@@ -26,6 +24,47 @@ BENCHMARK_FULL3 = [(4, 8, "none", "derived"), (5, 8, "none", "derived"),
                    (3, 2, "none", "derived"), (4, 4, "none", "derived"),
                    (4, 3, "none", "derived"), (6, 2, "none", "derived"),
                    (4, 1, "none", "derived")]
+
+
+# -- the paper's truncation argument ------------------------------------------
+# Drop the bell row, then replace each tail occurrence by the 1/3-2/3 mixture.
+
+def multinomial(counts: tuple[int, ...]) -> int:
+    return (math.factorial(sum(counts))
+            // math.prod(math.factorial(c) for c in counts))
+
+
+def drop_first_row(symlp: SymLP) -> SymLP:
+    """Relaxation that deletes the first single-copy constraint row."""
+    rows = symlp.rows[1:]
+    return SymLP(n=symlp.n, symbols=symlp.symbols, weights=symlp.weights,
+                 rows=rows, normalization=symlp.normalization,
+                 types=symlp.types,
+                 row_types=tuple(compositions(symlp.n, len(rows))))
+
+
+def substitute_tail_masses(masses: dict[tuple[int, int, int], F]
+                           ) -> dict[tuple[int, int], F]:
+    """Feasible-point mapper from three-shape types to two-shape types.
+
+    Each tail occurrence is replaced by the mixture 1/3 first shape + 2/3
+    second shape; the image point has the same objective value and satisfies
+    the truncated constraints whenever the source satisfied the last two rows.
+    """
+    out: dict[tuple[int, int], F] = {}
+    third = F(1, 3)
+    for (i, j, t), mass in masses.items():
+        if mass == 0:
+            continue
+        for l in range(t + 1):
+            w = math.comb(t, l) * third ** l * (2 * third) ** (t - l)
+            key = (i + l, j + t - l)
+            out[key] = out.get(key, F(0)) + mass * w
+    return out
+
+
+def type_masses(symlp: SymLP, solution) -> dict[tuple[int, ...], F]:
+    return {t: v for t, v in zip(symlp.types, solution.x) if v != 0}
 
 
 # -- reference assembly: every row type expanded term by term ------------------

@@ -13,7 +13,7 @@ from antisym.projectors import (DINF, S4, GroupAlgebraElement, PairBasis,
                                 flip_matrix, flip_overlaps,
                                 invariant_projectors, overlap_closed_forms,
                                 pair_flip_signs, pair_projector_element,
-                                perm_operator, ppt_overlap_table,
+                                ppt_overlap_table,
                                 present_shapes, reduced_pair_state,
                                 symbolic_overlap_table, werner_mixture,
                                 young_projector_element, young_state,
@@ -23,6 +23,11 @@ from antisym.young import weyl_dimension
 B4 = (1, 1, 1, 1)
 SQ = (2, 2)
 TAIL = (2, 1, 1)
+
+
+def perm_operator(perm, d):
+    """The operator permuting the tensor factors of (C^d)^{x4} by ``perm``."""
+    return GroupAlgebraElement.of(perm).to_operator(d)
 
 
 def projector_operator(shape, d):
@@ -126,7 +131,7 @@ def test_young_state_normalisation_and_errors():
 
 def _reference_operator(elem: GroupAlgebraElement, d: int) -> SparseRMatrix:
     """sum_p c_p U_p, one permutation operator at a time."""
-    out = SparseRMatrix(d ** 4, None, (d, d, d, d))
+    out = SparseRMatrix(d ** 4, {}, 1, (d, d, d, d))
     for p, c in elem.coeffs.items():
         out = out + perm_operator(p, d).scale(c)
     return out
@@ -146,16 +151,16 @@ def test_to_operator_matches_term_by_term_sum(elem, a, d):
     op = elem.to_operator(d)
     assert op == _reference_operator(elem, d)
     assert op.factor_dims == (d, d, d, d)
-    assert all(v != 0 for v in op.data.values())
+    assert all(v != 0 for v in op.nums.values())
     # the antisymmetriser of four factors vanishes for d < 4, so adding any
     # multiple of it cancels entry by entry and leaves the operator unchanged
     shifted = (elem + young_projector_element(B4).scale(a)).to_operator(d)
     assert shifted == op
-    assert all(v != 0 for v in shifted.data.values())
+    assert all(v != 0 for v in shifted.nums.values())
 
 
 def test_to_operator_of_cancelling_elements_stores_no_zero():
-    assert young_projector_element(B4).to_operator(3).data == {}
+    assert young_projector_element(B4).to_operator(3).nums == {}
     assert GroupAlgebraElement().to_operator(3).is_zero()
     e = GroupAlgebraElement.unit()
     t = GroupAlgebraElement.of(Perm4.from_cycles((1, 2)))
@@ -175,16 +180,16 @@ def test_full_space_operators_are_sparse():
 def test_full_verification_builds_no_dense_full_space_matrix(monkeypatch):
     # a group-algebra element has at most 24 d^4 of the d^8 entries on the
     # full space, and m^4 < 24 d^4 bounds every pair-subspace matrix; every
-    # matrix, from the constructor or from an operation, ends in _finish
+    # matrix, built directly or by an operation, passes through __init__
     d = 5
     stored = []
-    finish = SparseRMatrix._finish
+    init = SparseRMatrix.__init__
 
     def spy(self, *args, **kwargs):
-        finish(self, *args, **kwargs)
+        init(self, *args, **kwargs)
         stored.append((self.n, len(self.nums)))
 
-    monkeypatch.setattr(SparseRMatrix, "_finish", spy)
+    monkeypatch.setattr(SparseRMatrix, "__init__", spy)
     for name, check in cli._verification_checks(d, "full"):
         assert check(), name
     assert max(n for n, _ in stored) == d ** 4
