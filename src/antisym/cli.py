@@ -266,6 +266,10 @@ def cmd_bounds(args):
 def cmd_purity(args):
     threads = _threads_from_env()
     d, n = _check_d(args.d), args.n
+    for flag, value in (("--n", n), ("--restarts", args.restarts),
+                        ("--iters", args.iters)):
+        if value < 1:
+            raise UsageError(f"{flag} must be positive")
     result = bnd.purity_seesaw(n, d, restarts=args.restarts,
                                iterations=args.iters, seed=args.seed,
                                threads=threads)

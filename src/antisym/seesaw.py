@@ -10,6 +10,8 @@ A state is m^n coefficients over products of the m = d(d-1)/2 pair vectors
 (e_i e_j - e_j e_i)/sqrt(2), i < j.  The isometry onto (d^n, d^n) amplitude
 matrices is one scatter (``_lift``) and its adjoint one gather (``_project``)
 through index maps built once per call and shared read-only by the restarts.
+Each sweep's top eigenvector is found by a Lanczos iteration, one matrix-vector
+product (``_project`` after ``_lift``) per Krylov step.
 """
 
 from __future__ import annotations
@@ -23,8 +25,9 @@ import numpy as np
 DIMENSION_GUARD = 2 ** 16
 
 STALL_TOLERANCE = 1e-12
-POWER_TOLERANCE = 1e-13
-POWER_MAX_STEPS = 20_000
+EIGEN_TOLERANCE = 1e-13
+MATVEC_BUDGET = 20_000
+KRYLOV_DIM = 40
 
 IndexMaps = tuple[np.ndarray, np.ndarray]
 
@@ -79,23 +82,50 @@ def _project(mat: np.ndarray, w: IndexMaps, n: int, d: int) -> np.ndarray:
 
 def _top_eigenvector(matvec, start: np.ndarray, rng: np.random.Generator
                      ) -> np.ndarray:
-    """Power iteration for the top eigenvector of a PSD map."""
+    """Lanczos iteration for the top eigenvector of a PSD map.
+
+    Builds an orthonormal Krylov basis from ``start`` (each new vector
+    orthogonalised twice against the whole basis) and returns the top Ritz
+    vector of the tridiagonal projection once the top Ritz value changes by
+    less than ``EIGEN_TOLERANCE`` (relative) or the next basis vector is below
+    that tolerance (an invariant subspace).  A full basis restarts from its
+    top Ritz vector.  A start whose first image is zero is replaced by a
+    Gaussian draw from ``rng``.  At most ``MATVEC_BUDGET`` images are taken.
+    """
+    basis = np.empty((KRYLOV_DIM, start.shape[0]))
+    tri = np.zeros((KRYLOV_DIM, KRYLOV_DIM))
     v = start / np.linalg.norm(start)
-    lam = 0.0
-    for _ in range(POWER_MAX_STEPS):
+    k, theta, y = 0, 0.0, np.ones(1)
+    for _ in range(MATVEC_BUDGET):
+        basis[k] = v
         nxt = matvec(v)
-        norm = np.linalg.norm(nxt)
-        if norm < 1e-300:
+        if k == 0 and np.linalg.norm(nxt) < 1e-300:
             # start vector orthogonal to the support; reseed deterministically
             v = rng.standard_normal(v.shape[0])
             v /= np.linalg.norm(v)
             continue
-        nxt /= norm
-        change = abs(norm - lam) / max(norm, 1e-300)
-        v, lam = nxt, norm
-        if change < POWER_TOLERANCE:
+        span = basis[:k + 1]
+        coeff = span @ nxt
+        nxt -= span.T @ coeff
+        nxt -= span.T @ (span @ nxt)
+        tri[k, k] = coeff[k]
+        values, vectors = np.linalg.eigh(tri[:k + 1, :k + 1])
+        top, y = values[-1], vectors[:, -1]
+        beta = np.linalg.norm(nxt)
+        if (top - theta < EIGEN_TOLERANCE * top
+                or beta < EIGEN_TOLERANCE * top):
             break
-    return v
+        if k + 1 == KRYLOV_DIM:
+            # restart from the top Ritz vector
+            v = y @ basis
+            v /= np.linalg.norm(v)
+            k = 0
+            continue
+        tri[k, k + 1] = tri[k + 1, k] = beta
+        v = nxt / beta
+        k, theta = k + 1, top
+    u = y @ basis[:len(y)]
+    return u / np.linalg.norm(u)
 
 
 def _run_restart(n: int, d: int, w: IndexMaps, iterations: int,

@@ -229,7 +229,7 @@ def test_purity_sandwich(capsys):
 
 
 def test_purity_row_is_labelled_an_uncertified_estimate(capsys):
-    # at d=4, n=1 the see-saw prints 0.5000000000000001 against the exact
+    # at d=4, n=1 the see-saw prints 0.5000000000000002 against the exact
     # maximum 1/2: a floating-point estimate, not a certified lower bound
     code, out, _ = run(capsys, "purity", "--d", "4", "--n", "1",
                        "--format", "json")
@@ -264,6 +264,21 @@ def test_purity_dimension_guard_exit_code(capsys):
     assert code == 2
     assert out == ""
     assert err == "error: d^(2n) = 262144 exceeds the guard 65536\n"
+
+
+@pytest.mark.parametrize("flag", ["--n", "--restarts", "--iters"])
+def test_purity_usage_error_names_the_flag(capsys, monkeypatch, flag):
+    from antisym import cli
+
+    # the flags are checked before the see-saw is called
+    monkeypatch.setattr(cli.bnd, "purity_seesaw", None)
+    argv = {"--d": "4", "--n": "2", "--restarts": "2", "--iters": "5"}
+    argv[flag] = "0"
+    code, out, err = run(capsys, "purity", *(x for kv in argv.items()
+                                             for x in kv))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {flag} must be positive\n"
 
 
 def test_purity_results_independent_of_threads(capsys, monkeypatch):

@@ -108,6 +108,110 @@ def test_top_eigenvector_reseeds_from_a_start_in_the_kernel():
     assert abs(abs(v @ e) - 1.0) < 1e-12
 
 
+# -- the Lanczos solver against np.linalg.eigh ---------------------------------
+
+def random_psd(size, top, seed):
+    """Q diag(top, rest) Q^T: the given top eigenvalues over a rest in
+    [0, 1/2), with a seeded random orthogonal Q."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((size, size)))
+    spectrum = np.concatenate([top, rng.uniform(0.0, 0.5, size - len(top))])
+    return (q * spectrum) @ q.T
+
+
+def solve(a, seed):
+    """(unit vector, its Rayleigh quotient, residual norm, matvec count)."""
+    rng = np.random.default_rng(seed)
+    images = []
+
+    def matvec(v):
+        images.append(v)
+        return a @ v
+
+    v = _top_eigenvector(matvec, rng.standard_normal(a.shape[0]), rng)
+    quotient = v @ a @ v
+    assert abs(np.linalg.norm(v) - 1.0) <= 1e-14
+    return v, quotient, np.linalg.norm(a @ v - quotient * v), len(images)
+
+
+SOLVER_CASES = [(size, seed) for size in (5, 30, 100, 300) for seed in (0, 1)]
+
+
+@pytest.mark.parametrize("size,seed", SOLVER_CASES)
+def test_top_eigenvector_separated_top(size, seed):
+    a = random_psd(size, [1.0], seed)
+    values, vectors = np.linalg.eigh(a)
+    v, quotient, residual, _ = solve(a, seed)
+    assert abs(values[-1] - quotient) <= 1e-12
+    assert 1.0 - abs(v @ vectors[:, -1]) <= 1e-12
+    assert residual <= 1e-6
+
+
+@pytest.mark.parametrize("size,seed", SOLVER_CASES)
+def test_top_eigenvector_near_degenerate_top(size, seed):
+    # lambda_2 / lambda_1 = 1 - 1e-6: the vector lies in the top pair's span
+    a = random_psd(size, [1.0, 1.0 - 1e-6], seed)
+    values, vectors = np.linalg.eigh(a)
+    v, quotient, residual, _ = solve(a, seed)
+    assert values[-2] - 1e-12 <= quotient <= values[-1] + 1e-12
+    assert np.linalg.norm(vectors[:, :-2].T @ v) <= 1e-6
+    assert residual <= 1e-6
+
+
+@pytest.mark.parametrize("size,seed", SOLVER_CASES)
+def test_top_eigenvector_repeated_top(size, seed):
+    a = random_psd(size, [1.0, 1.0], seed)
+    values, _ = np.linalg.eigh(a)
+    _, quotient, residual, _ = solve(a, seed)
+    assert abs(values[-1] - quotient) <= 1e-12
+    assert residual <= 1e-6
+
+
+@pytest.mark.parametrize("size", [5, 300])
+def test_top_eigenvector_rank_one_breaks_down_at_step_two(size):
+    rng = np.random.default_rng(size)
+    e = rng.standard_normal(size)
+    e /= np.linalg.norm(e)
+    v, quotient, residual, matvecs = solve(np.outer(e, e), size + 1)
+    # the Krylov space of a rank-1 map is span{start, e}
+    assert matvecs == 2
+    assert abs(abs(v @ e) - 1.0) <= 1e-14
+    assert abs(quotient - 1.0) <= 1e-14
+
+
+@pytest.mark.parametrize("size,seed", SOLVER_CASES)
+def test_top_eigenvector_restarts_a_full_basis(size, seed, monkeypatch):
+    monkeypatch.setattr(seesaw, "KRYLOV_DIM", 2)
+    a = random_psd(size, [1.0], seed)
+    values, vectors = np.linalg.eigh(a)
+    v, quotient, residual, matvecs = solve(a, seed)
+    assert matvecs > 2
+    assert abs(values[-1] - quotient) <= 1e-12
+    assert 1.0 - abs(v @ vectors[:, -1]) <= 1e-12
+    assert residual <= 1e-6
+
+
+def test_matvec_budget_of_a_seesaw_run(monkeypatch):
+    # power iteration made 1874 matvecs here; Lanczos makes about 800
+    calls = []
+
+    def counted(mat, w, n, d):
+        calls.append(None)
+        return _project(mat, w, n, d)
+
+    monkeypatch.setattr(seesaw, "_project", counted)
+    purity_seesaw(3, 4, restarts=10, iterations=200, seed=5)
+    assert 0 < len(calls) < 1100
+
+
+@pytest.mark.parametrize("d,n", [(4, 2), (4, 3), (5, 2), (3, 3)])
+@pytest.mark.parametrize("seed", range(5))
+def test_seesaw_reaches_the_product_state_purity(d, n, seed):
+    # product states of antisymmetric pairs have purity 2^-n
+    result = purity_seesaw(n, d, restarts=4, iterations=200, seed=seed)
+    assert result.value >= 2.0 ** -n - 1e-12
+
+
 def test_single_copy_purity_is_half():
     for d in (3, 4, 5, 6):
         result = purity_seesaw(1, d, restarts=5, iterations=100, seed=11)
