@@ -8,7 +8,7 @@ the exact simplex and symmetry-reduced programmes (``simplex``,
 """
 
 from .bounds import (BoundReport, analytic_cost_bound, continuity_bound,
-                     cost_bound_from_purity, extension_cmi, purity_seesaw,
+                     cost_bound_from_purity, extension_cmi,
                      relent_lower_bound, relent_ppt_value,
                      squashed_upper_bound)
 from .linalg import Rational, SparseRMatrix
@@ -18,6 +18,7 @@ from .programs import (DINF, analytic_dual_point, build_dual,
 from .projectors import (invariant_projectors, overlap_closed_forms,
                          ppt_overlap_table, symbolic_overlap_table,
                          young_state)
+from .seesaw import purity_seesaw
 from .simplex import LPProblem, LPSolution, simplex_solve
 from .young import (plethysm_check, plethysm_dimensions, schur_eval,
                     ssyt_count, weyl_dimension)

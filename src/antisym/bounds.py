@@ -12,7 +12,6 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .programs import DINF, analytic_dual_point
-from .seesaw import PurityResult, purity_seesaw  # re-exported oracle
 
 
 def log2_fraction(value: Fraction) -> float:
@@ -171,8 +170,8 @@ def continuity_bound(eps: float, d: int) -> float:
 
 
 __all__ = [
-    "BoundReport", "ExtensionCmi", "PurityResult", "analytic_cost_bound",
-    "binary_entropy", "continuity_bound", "cost_bound_from_purity",
-    "extension_cmi", "log2_fraction", "purity_seesaw", "relent_lower_bound",
-    "relent_ppt_value", "squashed_upper_bound",
+    "BoundReport", "ExtensionCmi", "analytic_cost_bound", "binary_entropy",
+    "continuity_bound", "cost_bound_from_purity", "extension_cmi",
+    "log2_fraction", "relent_lower_bound", "relent_ppt_value",
+    "squashed_upper_bound",
 ]

@@ -28,9 +28,7 @@ from . import bounds as bnd
 from . import programs as prg
 from . import projectors as prj
 from . import young
-from .seesaw import ResourceLimitError
-
-THREADS_ENV = "ANTISYM_THREADS"
+from .seesaw import ResourceLimitError, purity_seesaw
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -168,25 +166,18 @@ def _parse_fraction(text: str) -> Fraction:
         raise UsageError(f"not a rational: {text!r}") from exc
 
 
-def _threads_from_env() -> int:
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise UsageError(f"{THREADS_ENV} must be an integer, got {raw!r}")
-    if value < 1:
-        raise UsageError(f"{THREADS_ENV} must be >= 1")
-    return value
-
-
 # -- commands -----------------------------------------------------------------
 
 def _check_d(d: int) -> int:
     if d < 3:
         raise UsageError("--d must be at least 3")
     return d
+
+
+def _check_positive(**flags: int) -> None:
+    for flag, value in flags.items():
+        if value < 1:
+            raise UsageError(f"--{flag} must be positive")
 
 
 def cmd_squashed(args):
@@ -209,6 +200,7 @@ def cmd_lp_primal(args):
         raise UsageError("--d and --dinf are mutually exclusive")
     d = math.inf if args.d is None else _check_d(args.d)
     n = args.n
+    _check_positive(n=n)
     value = prg.solve_purity_bound(n, d, parity=args.parity, form=args.form,
                                    corner=args.corner).value
     ec = bnd.cost_bound_from_purity(value, n, d)
@@ -227,6 +219,7 @@ def cmd_lp_primal(args):
 
 
 def cmd_lp_dual(args):
+    _check_positive(n=args.n)
     beta = _parse_fraction(args.beta)
     gamma = _parse_fraction(args.gamma) if args.gamma is not None else None
     point = prg.analytic_dual_point(args.n, beta, gamma)
@@ -242,8 +235,7 @@ def cmd_lp_dual(args):
 
 def cmd_bounds(args):
     d = _check_d(args.d)
-    if args.n < 1:
-        raise UsageError("--n must be positive")
+    _check_positive(n=args.n)
     # The LP and analytic rows come from the limit programme, so they are
     # labelled d=inf; only the closed forms depend on --d.
     limit = {"n": args.n, "d": prg.DINF}
@@ -264,26 +256,21 @@ def cmd_bounds(args):
 
 
 def cmd_purity(args):
-    threads = _threads_from_env()
     d, n = _check_d(args.d), args.n
-    for flag, value in (("--n", n), ("--restarts", args.restarts),
-                        ("--iters", args.iters)):
-        if value < 1:
-            raise UsageError(f"{flag} must be positive")
-    result = bnd.purity_seesaw(n, d, restarts=args.restarts,
-                               iterations=args.iters, seed=args.seed,
-                               threads=threads)
+    _check_positive(n=n, restarts=args.restarts, iters=args.iters)
+    estimate = purity_seesaw(n, d, restarts=args.restarts,
+                             iterations=args.iters, seed=args.seed)
     value = prg.solve_purity_bound(n, d, form="full3").value
-    ok = result.value <= float(value) + 1e-6
+    ok = estimate <= float(value) + 1e-6
     rows = [
         _row("purity_seesaw", None,
              "see-saw estimate of the maximum purity (floating point, "
-             "not certified)", decimal=result.value, n=n, d=d),
+             "not certified)", decimal=estimate, n=n, d=d),
         _row("purity_lp_bound", value, "exact LP upper bound", n=n, d=d),
         _flag_row("sandwich_ok", ok, "see-saw <= LP bound + 1e-6", n=n, d=d),
     ]
     return ({"d": d, "n": n, "restarts": args.restarts, "iters": args.iters,
-             "seed": args.seed, "threads": threads}, rows,
+             "seed": args.seed}, rows,
             None if ok else "verification failed: sandwich_ok")
 
 

@@ -539,6 +539,7 @@ def constraint_columns(d, corner: str = "derived"
     table = overlap_closed_forms(d)
     scales = (Fraction(d * (d - 1), 2), Fraction(d), Fraction(1))
     rows = [[s * v for v in row] for s, row in zip(scales, table.values)]
-    if corner == "alt" and len(cols) == 3:
-        rows[2][2] = 1 - Fraction(2 * d - 3, d * (d - 1) * (d - 2))
+    if corner == "alt":
+        rows[2][cols.index((2, 1, 1))] = (
+            1 - Fraction(2 * d - 3, d * (d - 1) * (d - 2)))
     return cols, tuple(tuple(row) for row in rows)

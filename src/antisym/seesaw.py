@@ -9,15 +9,14 @@ the n-fold tensor power of the antisymmetric pair subspace; cf. the LP bounds.
 A state is m^n coefficients over products of the m = d(d-1)/2 pair vectors
 (e_i e_j - e_j e_i)/sqrt(2), i < j.  The isometry onto (d^n, d^n) amplitude
 matrices is one scatter (``_lift``) and its adjoint one gather (``_project``)
-through index maps built once per call and shared read-only by the restarts.
-Each sweep's top eigenvector is found by a Lanczos iteration, one matrix-vector
-product (``_project`` after ``_lift``) per Krylov step.
+through index maps built once per call and shared by its restarts, which run
+one after another.  Each sweep's top eigenvector is found by a Lanczos
+iteration, one matrix-vector product (``_project`` after ``_lift``) per
+Krylov step.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -34,16 +33,6 @@ IndexMaps = tuple[np.ndarray, np.ndarray]
 
 class ResourceLimitError(RuntimeError):
     """Problem size exceeds the configured memory guard."""
-
-
-@dataclass(frozen=True)
-class PurityResult:
-    value: float
-    n: int
-    d: int
-    restarts: int
-    iterations: int
-    seed: int
 
 
 def _pair_isometry(d: int, n: int) -> IndexMaps:
@@ -157,35 +146,25 @@ def _run_restart(n: int, d: int, w: IndexMaps, iterations: int,
 
 
 def purity_seesaw(n: int, d: int, restarts: int = 10, iterations: int = 200,
-                  seed: int = 0, threads: int = 1) -> PurityResult:
+                  seed: int = 0) -> float:
     """Alternating maximisation of the reduced-state purity.
 
     Each restart draws a normalised Gaussian start (generator seeded with
     seed + restart index), then alternates between fixing the comparison
     state and taking the top eigenvector of the projected operator.  The
-    per-restart purity sequence is non-decreasing; the best value over all
-    restarts is returned.  Runs restarts concurrently when ``threads`` > 1;
-    the result does not depend on the thread count.
+    per-restart purity sequence is non-decreasing; the restarts run one
+    after another and the best purity over all of them is returned.
     """
     if n < 1 or d < 2:
         raise ValueError("need n >= 1 and d >= 2")
     if restarts < 1 or iterations < 1:
         raise ValueError("restarts and iterations must be positive")
-    if threads < 1:
-        raise ValueError("threads must be positive")
     if d ** (2 * n) > DIMENSION_GUARD:
         raise ResourceLimitError(
             f"d^(2n) = {d ** (2 * n)} exceeds the guard {DIMENSION_GUARD}")
     w = _pair_isometry(d, n)
-    seeds = [seed + r for r in range(restarts)]
-    if threads == 1:
-        outcomes = [_run_restart(n, d, w, iterations, s) for s in seeds]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(
-                lambda s: _run_restart(n, d, w, iterations, s), seeds))
-    value = max(v for v, _ in outcomes)
+    value = max(_run_restart(n, d, w, iterations, seed + r)[0]
+                for r in range(restarts))
     if value > 1.0 + 1e-9:
         raise ArithmeticError(f"purity {value} exceeds one")
-    return PurityResult(value=min(value, 1.0), n=n, d=d, restarts=restarts,
-                        iterations=iterations, seed=seed)
+    return min(value, 1.0)

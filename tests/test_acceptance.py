@@ -10,14 +10,15 @@ import time
 from fractions import Fraction as F
 
 from antisym.bounds import (analytic_cost_bound, cost_bound_from_purity,
-                            purity_seesaw, relent_lower_bound,
-                            relent_ppt_value, squashed_upper_bound)
+                            relent_lower_bound, relent_ppt_value,
+                            squashed_upper_bound)
 from antisym.programs import (DINF, analytic_dual_point, build_dual,
                               solve_dual, solve_purity_bound)
 from antisym.projectors import (PairBasis, YOUNG_SHAPES, flip_matrix,
                                 invariant_projectors, overlap_closed_forms,
                                 ppt_overlap_table, present_shapes,
                                 reduced_pair_state, young_projector_element)
+from antisym.seesaw import purity_seesaw
 from antisym.young import plethysm_check, weyl_dimension
 
 GOLDEN = {1: F(1, 2), 2: F(1, 2), 4: F(1, 4), 6: F(1, 7),
@@ -158,14 +159,14 @@ def test_criterion_7_plethysm_random_points():
 
 def test_criterion_8_seesaw_sandwich():
     for d in (3, 4, 5, 6):
-        result = purity_seesaw(1, d, restarts=6, iterations=100, seed=2)
-        assert abs(result.value - 0.5) <= 1e-6, d
+        value = purity_seesaw(1, d, restarts=6, iterations=100, seed=2)
+        assert abs(value - 0.5) <= 1e-6, d
         zeta = solve_purity_bound(1, d, form="full3").value
-        assert result.value <= float(zeta) + 1e-6, d
-    result = purity_seesaw(2, 3, restarts=20, iterations=500, seed=7)
-    assert abs(result.value - 0.25) <= 1e-5
+        assert value <= float(zeta) + 1e-6, d
+    value = purity_seesaw(2, 3, restarts=20, iterations=500, seed=7)
+    assert abs(value - 0.25) <= 1e-5
     zeta = solve_purity_bound(2, 3, form="full3").value
-    assert result.value <= float(zeta) + 1e-6
+    assert value <= float(zeta) + 1e-6
     report(8, "see-saw oracle reproduces 1/2 and 1/4 and stays below the LP")
 
 

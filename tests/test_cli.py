@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, formats, reproducibility."""
 
 import json
+import shlex
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -74,6 +75,37 @@ def test_lp_dual_geometric_point(capsys):
     assert code == 0
     assert "6561/65536" in out
     assert "feasible" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("lp", "primal"), ("lp", "dual"), ("bounds", "--d", "4"),
+    ("purity", "--d", "4")])
+def test_n_zero_is_a_usage_error_naming_the_flag(capsys, argv):
+    assert run(capsys, *argv, "--n", "0") == (
+        2, "", "error: --n must be positive\n")
+
+
+def readme_commands():
+    """(argv, trailing "# a/b" value or None) per README example line."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    for line in readme.splitlines():
+        if line.startswith("antisym "):
+            command, _, comment = line.partition("#")
+            value = comment.strip()
+            yield (shlex.split(command)[1:],
+                   F(value) if "/" in value else None)
+
+
+def test_readme_examples_run(capsys):
+    examples = list(readme_commands())
+    assert len(examples) == 10
+    for argv, value in examples:
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert (code, err) == (0, ""), argv
+        if value is not None:
+            rows = {r["quantity"]: r for r in json.loads(out)["results"]}
+            exact = rows["purity_bound"]["exact"]
+            assert F(int(exact["num"]), int(exact["den"])) == value, argv
 
 
 def test_json_round_trip_and_determinism(capsys):
@@ -248,17 +280,6 @@ def test_purity_seed_reproducible_json(capsys):
     assert first == second
 
 
-def test_threads_env_validation(capsys, monkeypatch):
-    monkeypatch.setenv("ANTISYM_THREADS", "zero")
-    code, _, err = run(capsys, "purity", "--d", "3", "--n", "1",
-                       "--restarts", "2", "--iters", "20", "--seed", "0")
-    assert code == 2
-    monkeypatch.setenv("ANTISYM_THREADS", "2")
-    code, out, _ = run(capsys, "purity", "--d", "3", "--n", "1",
-                       "--restarts", "2", "--iters", "20", "--seed", "0")
-    assert code == 0
-
-
 def test_purity_dimension_guard_exit_code(capsys):
     code, out, err = run(capsys, "purity", "--d", "8", "--n", "3")
     assert code == 2
@@ -271,7 +292,7 @@ def test_purity_usage_error_names_the_flag(capsys, monkeypatch, flag):
     from antisym import cli
 
     # the flags are checked before the see-saw is called
-    monkeypatch.setattr(cli.bnd, "purity_seesaw", None)
+    monkeypatch.setattr(cli, "purity_seesaw", None)
     argv = {"--d": "4", "--n": "2", "--restarts": "2", "--iters": "5"}
     argv[flag] = "0"
     code, out, err = run(capsys, "purity", *(x for kv in argv.items()
@@ -281,18 +302,23 @@ def test_purity_usage_error_names_the_flag(capsys, monkeypatch, flag):
     assert err == f"error: {flag} must be positive\n"
 
 
-def test_purity_results_independent_of_threads(capsys, monkeypatch):
+def test_purity_output_ignores_antisym_threads(capsys, monkeypatch):
+    # perfbench still sets ANTISYM_THREADS; no code reads it, so no value,
+    # not even an invalid one, changes the output or shows in the params
     args = ("purity", "--d", "4", "--n", "2", "--restarts", "4",
             "--iters", "50", "--seed", "3", "--format", "json")
-    results = []
-    for threads in ("1", "2"):
-        monkeypatch.setenv("ANTISYM_THREADS", threads)
-        code, out, _ = run(capsys, *args)
-        assert code == 0
-        payload = json.loads(out)
-        assert payload["params"]["threads"] == int(threads)
-        results.append(payload["results"])
-    assert results[0] == results[1]
+    outputs = []
+    for threads in (None, "2", "zero"):
+        if threads is None:
+            monkeypatch.delenv("ANTISYM_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("ANTISYM_THREADS", threads)
+        code, out, err = run(capsys, *args)
+        assert (code, err) == (0, "")
+        outputs.append(out)
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert set(json.loads(outputs[0])["params"]) == {
+        "d", "n", "restarts", "iters", "seed"}
 
 
 def test_out_file(tmp_path, capsys):
@@ -322,7 +348,7 @@ def test_unwritable_out_fails_before_the_command_runs(tmp_path, capsys,
     calls = []
     for module, name in ((cli, "_verification_checks"),
                          (cli.bnd, "squashed_upper_bound"),
-                         (cli.bnd, "purity_seesaw"),
+                         (cli, "purity_seesaw"),
                          (cli.prg, "solve_purity_bound"),
                          (cli.prg, "analytic_dual_point")):
         monkeypatch.setattr(module, name,
@@ -405,12 +431,10 @@ def test_every_failure_exits_with_its_documented_code(capsys, monkeypatch,
 
 def test_purity_sandwich_failure_names_the_failed_check(capsys, monkeypatch):
     from antisym import cli
-    from antisym.seesaw import PurityResult
 
     # the exact maximum purity at d=3, n=1 is 1/2; a see-saw value above
     # it breaks the sandwich
-    monkeypatch.setattr(cli.bnd, "purity_seesaw",
-                        lambda n, d, **kw: PurityResult(0.75, n, d, 1, 1, 0))
+    monkeypatch.setattr(cli, "purity_seesaw", lambda n, d, **kw: 0.75)
     code, out, err = run(capsys, "purity", "--d", "3", "--n", "1",
                          "--format", "json")
     assert code == 1
@@ -452,7 +476,8 @@ def test_internal_check_failure_exit_code(capsys, monkeypatch, argv, target):
     def boom(*args, **kwargs):
         raise ArithmeticError("closed form does not match the scan")
 
-    monkeypatch.setattr(cli.bnd, target, boom)
+    monkeypatch.setattr(cli if target == "purity_seesaw" else cli.bnd,
+                        target, boom)
     code, out, err = run(capsys, *argv)
     assert code == 3
     assert out == ""

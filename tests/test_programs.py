@@ -375,6 +375,11 @@ def test_corner_variant_effect():
             assert base == alt, (n, d)
     assert solve_purity_bound(3, DINF, corner="alt").value == \
         solve_purity_bound(3, DINF).value
+    # at d=3 the alternative entry changes the programme, not its optimum
+    assert build_purity_bound(2, 3, corner="alt").rows != \
+        build_purity_bound(2, 3).rows
+    for n in range(1, 7):
+        assert solve_purity_bound(n, 3, corner="alt").value == F(1, 2 ** n)
 
 
 # -- dual side ------------------------------------------------------------------

@@ -354,3 +354,12 @@ def test_corner_variant():
         for j in range(3):
             if (i, j) != (2, 2):
                 assert derived[i][j] == alt[i][j]
+
+
+def test_corner_variant_at_dimension_three():
+    # at d=3 the (1,1,1,1) column is dropped and (2,1,1) is column 1
+    cols, derived = constraint_columns(3)
+    alt = constraint_columns(3, corner="alt")[1]
+    assert cols.index((2, 1, 1)) == 1
+    assert (derived[2][1], alt[2][1]) == (F(2, 3), F(1, 2))
+    assert derived[:2] == alt[:2] and derived[2][0] == alt[2][0]
