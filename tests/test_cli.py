@@ -302,20 +302,31 @@ def test_purity_usage_error_names_the_flag(capsys, monkeypatch, flag):
     assert err == f"error: {flag} must be positive\n"
 
 
-def test_purity_output_ignores_antisym_threads(capsys, monkeypatch):
-    # perfbench still sets ANTISYM_THREADS; no code reads it, so no value,
-    # not even an invalid one, changes the output or shows in the params
-    args = ("purity", "--d", "4", "--n", "2", "--restarts", "4",
-            "--iters", "50", "--seed", "3", "--format", "json")
-    outputs = []
-    for threads in (None, "2", "zero"):
-        if threads is None:
-            monkeypatch.delenv("ANTISYM_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("ANTISYM_THREADS", threads)
-        code, out, err = run(capsys, *args)
-        assert (code, err) == (0, "")
-        outputs.append(out)
+PURITY_JSON = ("purity", "--d", "4", "--n", "2", "--restarts", "4",
+               "--iters", "50", "--seed", "3", "--format", "json")
+
+
+def _purity_output(capsys, monkeypatch, threads):
+    if threads is None:
+        monkeypatch.delenv("ANTISYM_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("ANTISYM_THREADS", threads)
+    code, out, err = run(capsys, *PURITY_JSON)
+    assert (code, err) == (0, "")
+    return out
+
+
+def test_threads_env_validation(capsys, monkeypatch):
+    # perfbench still sets ANTISYM_THREADS; no code reads it, so even an
+    # invalid value is not an error and changes no byte of the output
+    unset = _purity_output(capsys, monkeypatch, None)
+    for threads in ("zero", "0"):
+        assert _purity_output(capsys, monkeypatch, threads) == unset
+
+
+def test_purity_results_independent_of_threads(capsys, monkeypatch):
+    outputs = [_purity_output(capsys, monkeypatch, threads)
+               for threads in (None, "1", "2")]
     assert outputs[0] == outputs[1] == outputs[2]
     assert set(json.loads(outputs[0])["params"]) == {
         "d", "n", "restarts", "iters", "seed"}

@@ -230,11 +230,20 @@ def test_monotone_within_restart():
         assert b >= a - 1e-10
 
 
-def test_deterministic_given_seed():
+def test_result_metadata():
+    # the oracle returns the bare float; its inputs are not echoed back
+    result = purity_seesaw(1, 3, restarts=2, iterations=50, seed=5)
+    assert type(result) is float
+    assert 0.0 <= result <= 1.0
+
+
+def test_deterministic_given_seed_and_thread_count():
+    # restarts run one after another; there is no thread count to pass
     a = purity_seesaw(2, 3, restarts=4, iterations=50, seed=42)
     b = purity_seesaw(2, 3, restarts=4, iterations=50, seed=42)
-    assert type(a) is float and 0.0 <= a <= 1.0
     assert a == b
+    with pytest.raises(TypeError):
+        purity_seesaw(2, 3, restarts=4, iterations=50, seed=42, threads=3)
 
 
 def test_value_is_the_best_restart():
