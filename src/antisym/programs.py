@@ -227,7 +227,8 @@ def analytic_dual_point(n: int, beta: Fraction = Fraction(1, 2),
     """Geometric dual point: delta_k = gamma * beta^(n-k) for k < n, delta_n = 0.
 
     z is set to the largest symmetrised dual constraint value, so the point is
-    feasible by construction whenever the weights are nonnegative.  With the
+    feasible by construction: beta, gamma >= 0 make the weights nonnegative (a
+    negative gamma is rejected, as its z would bound nothing).  With the
     defaults beta = 1/2, gamma = 2^-n the bound is exactly (3/4)^n.  The
     hypergeometric closed form
 
@@ -241,6 +242,8 @@ def analytic_dual_point(n: int, beta: Fraction = Fraction(1, 2),
     if not 0 <= beta < 1:
         raise ValueError("beta must satisfy 0 <= beta < 1")
     gamma = Fraction(1, 2 ** n) if gamma is None else Fraction(gamma)
+    if gamma < 0:
+        raise ValueError("gamma must satisfy gamma >= 0")
 
     delta = tuple(gamma * beta ** (n - k) for k in range(n)) + (Fraction(0),)
     constraint_values = []

@@ -10,9 +10,9 @@ A state is m^n coefficients over products of the m = d(d-1)/2 pair vectors
 (e_i e_j - e_j e_i)/sqrt(2), i < j.  The isometry onto (d^n, d^n) amplitude
 matrices is one scatter (``_lift``) and its adjoint one gather (``_project``)
 through index maps built once per call and shared by its restarts, which run
-one after another.  Each sweep's top eigenvector is found by a Lanczos
-iteration, one matrix-vector product (``_project`` after ``_lift``) per
-Krylov step.
+one after another.  Each sweep moves the state u to the top Ritz vector on
+span{u, Q u} of the projected operator Q v = ``_project(rho @ _lift(v))``:
+two matrix-vector products, the first reusing the sweep's lifted state.
 """
 
 from __future__ import annotations
@@ -24,9 +24,6 @@ import numpy as np
 DIMENSION_GUARD = 2 ** 16
 
 STALL_TOLERANCE = 1e-12
-EIGEN_TOLERANCE = 1e-13
-MATVEC_BUDGET = 20_000
-KRYLOV_DIM = 40
 
 IndexMaps = tuple[np.ndarray, np.ndarray]
 
@@ -69,61 +66,33 @@ def _project(mat: np.ndarray, w: IndexMaps, n: int, d: int) -> np.ndarray:
     return (mat.ravel()[index] * weight).sum(axis=0)
 
 
-def _top_eigenvector(matvec, start: np.ndarray, rng: np.random.Generator
-                     ) -> np.ndarray:
-    """Lanczos iteration for the top eigenvector of a PSD map.
+def _ritz_step(u: np.ndarray, image: np.ndarray, matvec) -> np.ndarray:
+    """Top Ritz vector of a symmetric map A on span{u, Au}.
 
-    Builds an orthonormal Krylov basis from ``start`` (each new vector
-    orthogonalised twice against the whole basis) and returns the top Ritz
-    vector of the tridiagonal projection once the top Ritz value changes by
-    less than ``EIGEN_TOLERANCE`` (relative) or the next basis vector is below
-    that tolerance (an invariant subspace).  A full basis restarts from its
-    top Ritz vector.  A start whose first image is zero is replaced by a
-    Gaussian draw from ``rng``.  At most ``MATVEC_BUDGET`` images are taken.
+    ``u`` is a unit vector and ``image`` is Au.  The image is orthogonalised
+    twice against u; a zero remainder (u is an eigenvector) returns u itself.
+    Otherwise ``matvec`` takes one more image and the top eigenvector of the
+    2x2 compression gives the unit result, whose Rayleigh quotient is at least
+    u.Au: steepest ascent of the quotient with the best step length.
     """
-    basis = np.empty((KRYLOV_DIM, start.shape[0]))
-    tri = np.zeros((KRYLOV_DIM, KRYLOV_DIM))
-    v = start / np.linalg.norm(start)
-    k, theta, y = 0, 0.0, np.ones(1)
-    for _ in range(MATVEC_BUDGET):
-        basis[k] = v
-        nxt = matvec(v)
-        if k == 0 and np.linalg.norm(nxt) < 1e-300:
-            # start vector orthogonal to the support; reseed deterministically
-            v = rng.standard_normal(v.shape[0])
-            v /= np.linalg.norm(v)
-            continue
-        span = basis[:k + 1]
-        coeff = span @ nxt
-        nxt -= span.T @ coeff
-        nxt -= span.T @ (span @ nxt)
-        tri[k, k] = coeff[k]
-        values, vectors = np.linalg.eigh(tri[:k + 1, :k + 1])
-        top, y = values[-1], vectors[:, -1]
-        beta = np.linalg.norm(nxt)
-        if (top - theta < EIGEN_TOLERANCE * top
-                or beta < EIGEN_TOLERANCE * top):
-            break
-        if k + 1 == KRYLOV_DIM:
-            # restart from the top Ritz vector
-            v = y @ basis
-            v /= np.linalg.norm(v)
-            k = 0
-            continue
-        tri[k, k + 1] = tri[k + 1, k] = beta
-        v = nxt / beta
-        k, theta = k + 1, top
-    u = y @ basis[:len(y)]
-    return u / np.linalg.norm(u)
+    alpha = u @ image
+    r = image - alpha * u
+    r -= (u @ r) * u
+    beta = np.linalg.norm(r)
+    if beta == 0.0:
+        return u
+    v = r / beta
+    _, vectors = np.linalg.eigh([[alpha, beta], [beta, v @ matvec(v)]])
+    x = vectors[0, -1] * u + vectors[1, -1] * v
+    return x / np.linalg.norm(x)
 
 
 def _run_restart(n: int, d: int, w: IndexMaps, iterations: int,
                  seed: int) -> tuple[float, list[float]]:
     """(best purity, purity after each sweep) of one restart on maps ``w``;
     each sweep's final state and comparison matrix open the next sweep."""
-    rng = np.random.default_rng(seed)
     m = d * (d - 1) // 2
-    u = rng.standard_normal(m ** n)
+    u = np.random.default_rng(seed).standard_normal(m ** n)
     u /= np.linalg.norm(u)
     history: list[float] = []
     best = 0.0
@@ -133,7 +102,7 @@ def _run_restart(n: int, d: int, w: IndexMaps, iterations: int,
         def matvec(v: np.ndarray) -> np.ndarray:
             return _project(rho @ _lift(v, w, n, d), w, n, d)
 
-        u = _top_eigenvector(matvec, u, rng)
+        u = _ritz_step(u, _project(rho @ mat, w, n, d), matvec)
         mat = _lift(u, w, n, d)
         rho = mat @ mat.T
         purity = float(np.sum(rho * rho))
@@ -151,7 +120,9 @@ def purity_seesaw(n: int, d: int, restarts: int = 10, iterations: int = 200,
 
     Each restart draws a normalised Gaussian start (generator seeded with
     seed + restart index), then alternates between fixing the comparison
-    state and taking the top eigenvector of the projected operator.  The
+    state and taking one Rayleigh-Ritz step of the projected operator on the
+    span of the state and its image.  That span holds the state, so the
+    step's quotient is at least the purity and, by Cauchy-Schwarz, the
     per-restart purity sequence is non-decreasing; the restarts run one
     after another and the best purity over all of them is returned.
     """

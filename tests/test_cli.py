@@ -77,6 +77,12 @@ def test_lp_dual_geometric_point(capsys):
     assert "feasible" in out
 
 
+def test_lp_dual_rejects_negative_gamma(capsys):
+    # a negative gamma gives negative weights and a z that bounds nothing
+    assert run(capsys, "lp", "dual", "--n", "3", "--gamma", "-1") == (
+        2, "", "error: gamma must satisfy gamma >= 0\n")
+
+
 @pytest.mark.parametrize("argv", [
     ("lp", "primal"), ("lp", "dual"), ("bounds", "--d", "4"),
     ("purity", "--d", "4")])

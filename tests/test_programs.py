@@ -435,6 +435,9 @@ def test_analytic_dual_custom_parameters():
         analytic_dual_point(3, beta=F(1))
     with pytest.raises(ValueError):
         analytic_dual_point(3, beta=F(-1, 2))
+    with pytest.raises(ValueError, match=r"^gamma must satisfy gamma >= 0$"):
+        analytic_dual_point(3, gamma=F(-1))
+    assert analytic_dual_point(3, gamma=F(0)).feasible
 
 
 def test_dual_lp_equals_primal():
