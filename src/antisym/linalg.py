@@ -1,4 +1,4 @@
-"""Exact rational matrices with tensor-factor structure.
+"""Exact rational matrices and their tensor-factor operations.
 
 Everything here is exact rational arithmetic: a matrix stores Python int
 numerators over one int denominator, and scalars such as traces come back as
@@ -9,7 +9,9 @@ the full tensor-power space (C^d)^{x4}: permutation operators and their
 rational combinations, with at most 24 d^4 nonzeros among d^8 entries, and
 their partial traces and transposes.  It also holds the small ones: operators
 restricted to the pair subspace (m^2 x m^2, about 1% nonzero at d = 7) and
-reduced two-factor states (d^2 x d^2).
+reduced two-factor states (d^2 x d^2).  A matrix is only its dimension,
+numerators and denominator: the partial trace and transpose take the tensor
+factor dimensions from their caller, who knows the split.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ RationalLike = Union[Fraction, int]
 
 
 class ShapeError(ValueError):
-    """Raised on incompatible shapes or missing tensor-factor structure."""
+    """Raised on incompatible shapes or tensor-factor dimensions."""
 
 
 def _frac(x: RationalLike) -> Fraction:
@@ -42,17 +44,6 @@ def _lowest_terms(values: list, den: int = 1) -> tuple[list[int], int]:
     nums = [v.numerator * (scale // v.denominator) for v in values]
     g = gcd(den * scale, *nums)
     return [v // g for v in nums], den * scale // g
-
-
-def _check_factor_dims(factor_dims, rows: int) -> tuple[int, ...] | None:
-    if factor_dims is None:
-        return None
-    dims = tuple(int(f) for f in factor_dims)
-    if any(f <= 0 for f in dims):
-        raise ShapeError(f"factor dimensions must be positive, got {dims}")
-    if prod(dims) != rows:
-        raise ShapeError(f"product of factor dims {dims} != {rows} rows")
-    return dims
 
 
 def _digits(index: int, dims: Sequence[int]) -> tuple[int, ...]:
@@ -82,10 +73,9 @@ class SparseRMatrix:
     establishes that form with one ``math.gcd``.
     """
 
-    __slots__ = ("n", "nums", "den", "factor_dims")
+    __slots__ = ("n", "nums", "den")
 
-    def __init__(self, n: int, nums: dict[tuple[int, int], int], den: int = 1,
-                 factor_dims: Iterable[int] | None = None):
+    def __init__(self, n: int, nums: dict[tuple[int, int], int], den: int = 1):
         """The matrix ``nums / den`` from int numerators, zeros allowed, over
         a positive int denominator.  Keys and values are trusted, not checked.
         The matrix may keep ``nums`` as its storage: do not change it later."""
@@ -98,13 +88,10 @@ class SparseRMatrix:
         self.n = n
         self.nums = nums
         self.den = den
-        self.factor_dims = _check_factor_dims(factor_dims, n)
 
     @classmethod
-    def identity(cls, n: int, factor_dims: Iterable[int] | None = None
-                 ) -> "SparseRMatrix":
-        return cls(n, dict.fromkeys(((i, i) for i in range(n)), 1), 1,
-                   factor_dims)
+    def identity(cls, n: int) -> "SparseRMatrix":
+        return cls(n, dict.fromkeys(((i, i) for i in range(n)), 1))
 
     def _same_shape(self, other: "SparseRMatrix") -> None:
         if self.n != other.n:
@@ -119,7 +106,7 @@ class SparseRMatrix:
                else {k: f * v for k, v in self.nums.items()})
         for k, v in other.nums.items():
             out[k] = out.get(k, 0) + g * v
-        return SparseRMatrix(self.n, out, den, self.factor_dims)
+        return SparseRMatrix(self.n, out, den)
 
     def __sub__(self, other: "SparseRMatrix") -> "SparseRMatrix":
         return self + other.scale(-1)
@@ -129,7 +116,7 @@ class SparseRMatrix:
         num = r.numerator
         return SparseRMatrix(
             self.n, {k: num * v for k, v in self.nums.items()},
-            self.den * r.denominator, self.factor_dims)
+            self.den * r.denominator)
 
     def __matmul__(self, other: "SparseRMatrix") -> "SparseRMatrix":
         self._same_shape(other)
@@ -141,8 +128,7 @@ class SparseRMatrix:
             for c2, v2 in rows.get(c, ()):
                 key = (r, c2)
                 out[key] = out.get(key, 0) + v * v2
-        return SparseRMatrix(self.n, out, self.den * other.den,
-                             self.factor_dims)
+        return SparseRMatrix(self.n, out, self.den * other.den)
 
     def trace(self) -> Fraction:
         return Fraction(sum(v for (r, c), v in self.nums.items() if r == c),
@@ -162,24 +148,29 @@ class SparseRMatrix:
     def is_zero(self) -> bool:
         return not self.nums
 
-    def _factors(self, indices: Iterable[int]
+    def _factors(self, dims: Sequence[int], indices: Iterable[int]
                  ) -> tuple[tuple[int, ...], list[int]]:
-        """The factor dimensions and the sorted, checked factor ``indices``."""
-        if self.factor_dims is None:
-            raise ShapeError("operation requires factor_dims")
-        dims = self.factor_dims
+        """The checked factor dimensions ``dims`` of this matrix and the
+        sorted, checked factor ``indices``."""
+        dims = tuple(dims)
+        if any(f <= 0 for f in dims):
+            raise ShapeError(f"factor dimensions must be positive, got {dims}")
+        if prod(dims) != self.n:
+            raise ShapeError(f"product of factor dims {dims} != {self.n} rows")
         indices = sorted(set(indices))
         if any(k < 0 or k >= len(dims) for k in indices):
             raise ShapeError(f"factor indices {indices} out of range for {dims}")
         return dims, indices
 
-    def partial_trace(self, keep: Iterable[int]) -> "SparseRMatrix":
-        """Trace out all tensor factors not in ``keep`` (0-based indices).
+    def partial_trace(self, dims: Sequence[int], keep: Iterable[int]
+                      ) -> "SparseRMatrix":
+        """Trace out all tensor factors not in ``keep`` (0-based indices) of
+        the split into factors of dimensions ``dims``.
 
         Only stored entries are visited: an entry contributes when its row
         and column agree on every traced factor.
         """
-        dims, keep = self._factors(keep)
+        dims, keep = self._factors(dims, keep)
         drop = [k for k in range(len(dims)) if k not in keep]
         kdims = tuple(dims[k] for k in keep)
         # each index in use -> (its digits on the traced factors, its index
@@ -195,11 +186,13 @@ class SparseRMatrix:
             cdrop, cc = split[c]
             if rdrop == cdrop:
                 out[(rr, cc)] = out.get((rr, cc), 0) + v
-        return SparseRMatrix(prod(kdims), out, self.den, kdims or (1,))
+        return SparseRMatrix(prod(kdims), out, self.den)
 
-    def partial_transpose(self, flip: Iterable[int]) -> "SparseRMatrix":
-        """Transpose the factors in ``flip`` (0-based); an involution."""
-        dims, flip = self._factors(flip)
+    def partial_transpose(self, dims: Sequence[int], flip: Iterable[int]
+                          ) -> "SparseRMatrix":
+        """Transpose the factors in ``flip`` (0-based) of the split into
+        factors of dimensions ``dims``; an involution."""
+        dims, flip = self._factors(dims, flip)
         out = {}
         for (r, c), v in self.nums.items():
             rd = list(_digits(r, dims))
@@ -207,7 +200,7 @@ class SparseRMatrix:
             for k in flip:
                 rd[k], cd[k] = cd[k], rd[k]
             out[(_from_digits(rd, dims), _from_digits(cd, dims))] = v
-        return SparseRMatrix(self.n, out, self.den, dims)
+        return SparseRMatrix(self.n, out, self.den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparseRMatrix):

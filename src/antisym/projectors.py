@@ -1,6 +1,7 @@
 """Exact operators on (C^d)^{x4}: permutation actions, Young projectors,
 the three pair-subspace states, partial-transpose overlap tables and the
-PPT constraint matrices.
+PPT constraint matrices.  An overlap table is a tuple of three rows (bell,
+adjoint, tail) over the columns ``present_shapes(d)``.
 
 Tensor factors are ordered A, B, A', B' (indices 0..3).  The primed pair is
 factors 2 and 3; the partial transpose across the AB:A'B' cut transposes
@@ -27,11 +28,9 @@ Each quantity has one route here.  Two kinds of route exist, and the
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
-from typing import NamedTuple
 
 from .linalg import ShapeError, SparseRMatrix
 from .young import Partition, weyl_dimension
@@ -62,9 +61,6 @@ class Perm4:
             for i, x in enumerate(cyc):
                 img[x - 1] = cyc[(i + 1) % len(cyc)]
         return cls(tuple(img))
-
-    def __call__(self, k: int) -> int:
-        return self.images[k - 1]
 
     def __mul__(self, other: "Perm4") -> "Perm4":
         """Composition: (self * other)(k) = self(other(k))."""
@@ -128,8 +124,8 @@ class GroupAlgebraElement:
         return cls({Perm4.identity(): Fraction(1)})
 
     @classmethod
-    def of(cls, perm: Perm4, coeff=1) -> "GroupAlgebraElement":
-        return cls({perm: Fraction(coeff)})
+    def of(cls, perm: Perm4) -> "GroupAlgebraElement":
+        return cls({perm: Fraction(1)})
 
     def __add__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
         out = dict(self.coeffs)
@@ -175,7 +171,7 @@ class GroupAlgebraElement:
             w = c.numerator * (den // c.denominator)
             for key in _perm_pairs(p.images, d):
                 sums[key] = sums.get(key, 0) + w
-        return SparseRMatrix(d ** 4, sums, den, (d, d, d, d))
+        return SparseRMatrix(d ** 4, sums, den)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, GroupAlgebraElement)
@@ -306,13 +302,12 @@ class PairBasis:
                 continue
             key = (row[0], col[0])
             out[key] = out.get(key, 0) + (v if row[1] == col[1] else -v)
-        return SparseRMatrix(m * m, out, op.den * 4, (m, m))
+        return SparseRMatrix(m * m, out, op.den * 4)
 
     # compressed building blocks ------------------------------------------
 
     def identity(self) -> SparseRMatrix:
-        m = self.m
-        return SparseRMatrix.identity(m * m, (m, m))
+        return SparseRMatrix.identity(self.m ** 2)
 
     def restricted_element(self, elem: GroupAlgebraElement) -> SparseRMatrix:
         return self.restrict(elem.to_operator(self.d))
@@ -328,8 +323,7 @@ class PairBasis:
                     for l in range(d):
                         c = ((k * d + l) * d + k) * d + l
                         data[r, c] = 1
-        return self.restrict(
-            SparseRMatrix(d ** 4, data, d * d, (d, d, d, d)))
+        return self.restrict(SparseRMatrix(d ** 4, data, d * d))
 
     def restricted_one_phi(self) -> SparseRMatrix:
         """Restriction of 1_{AA'} x Phi_{BB'}."""
@@ -342,21 +336,14 @@ class PairBasis:
                     for l in range(d):
                         c = ((a * d + l) * d + ap) * d + l
                         data[r, c] = 1
-        return self.restrict(
-            SparseRMatrix(d ** 4, data, d, (d, d, d, d)))
+        return self.restrict(SparseRMatrix(d ** 4, data, d))
 
 
 # -- the three invariant projectors across the AB:A'B' cut --------------------
 
-class InvariantProjectors(NamedTuple):
-    # restricted to the pair subspace
-    bell: SparseRMatrix     # rank one: maximally entangled pair spaces
-    adjoint: SparseRMatrix  # dimension d^2 - 1
-    tail: SparseRMatrix     # dimension (d(d-1)/2)^2 - d^2
-
-
-def invariant_projectors(d: int) -> InvariantProjectors:
-    """The three orthogonal projectors spanning the commutant on the pair space.
+def invariant_projectors(d: int) -> tuple[SparseRMatrix, ...]:
+    """The three orthogonal projectors (bell, adjoint, tail) spanning the
+    commutant on the pair space.
 
     With P the pair projector, Phi maximally entangled:
 
@@ -376,7 +363,7 @@ def invariant_projectors(d: int) -> InvariantProjectors:
     bell = phi_phi.scale(Fraction(2 * d, d - 1))
     adjoint = (one_phi - phi_phi).scale(Fraction(4 * d, d - 2))
     tail = basis.identity() - bell - adjoint
-    return InvariantProjectors(bell, adjoint, tail)
+    return bell, adjoint, tail
 
 
 # -- flip expectations and partial-transpose overlaps -------------------------
@@ -407,46 +394,38 @@ def pair_flip_signs(d: int) -> dict[Partition, Fraction]:
 def flip_matrix(d: int) -> SparseRMatrix:
     """The swap operator F|ij> = |ji> on C^d x C^d."""
     swap = {(j * d + i, i * d + j): 1 for i in range(d) for j in range(d)}
-    return SparseRMatrix(d * d, swap, 1, (d, d))
+    return SparseRMatrix(d * d, swap)
 
 
 def reduced_pair_state(shape: Partition, d: int) -> SparseRMatrix:
     """Exact reduction tr_{BB'} rho_y, a Werner state on A x A' (d^2 x d^2)."""
-    return young_state(shape, d).partial_trace((0, 2))
+    return young_state(shape, d).partial_trace((d,) * 4, (0, 2))
 
 
 def werner_mixture(p: Fraction, d: int) -> SparseRMatrix:
     """p * (antisymmetric state) + (1-p) * (symmetric state) on C^d x C^d."""
     p = Fraction(p)
     flip = flip_matrix(d)
-    ident = SparseRMatrix.identity(d * d, (d, d))
+    ident = SparseRMatrix.identity(d * d)
     anti = (ident - flip).scale(Fraction(1, d * (d - 1)))
     sym = (ident + flip).scale(Fraction(1, d * (d + 1)))
     return anti.scale(p) + sym.scale(1 - p)
 
 
-@dataclass(frozen=True)
-class OverlapTable:
-    """Expectations of the PSD operator triple (bell, adjoint/2, remainder)
-    against the partially transposed states rho_y^Gamma.
+Rows = tuple[tuple[Fraction, ...], ...]
 
-    The triple resolves the pair projector, so each column sums to exactly 1;
-    its rows are the functionals whose tensor powers express the PPT
-    constraint of the symmetrised states as a linear programme.  (The halving
-    of the adjoint projector is a choice of row scale only; any positive
-    rescaling of a row yields the same constraints.)
+
+def overlap_closed_forms(d: int) -> Rows:
+    """The closed-form overlap table for dimension d >= 3.
+
+    Its rows are the expectations of the PSD operator triple (bell,
+    adjoint/2, remainder) against the partially transposed states
+    rho_y^Gamma.  The triple resolves the pair projector, so each column
+    sums to exactly 1; the rows are the functionals whose tensor powers
+    express the PPT constraint of the symmetrised states as a linear
+    programme.  (Halving the adjoint projector only rescales a row, and any
+    positive rescaling of a row yields the same constraints.)
     """
-    d: int
-    columns: tuple[Partition, ...]
-    values: tuple[tuple[Fraction, ...], ...]  # rows: bell, adjoint, tail
-
-    def column_sums(self) -> tuple[Fraction, ...]:
-        return tuple(sum(row[j] for row in self.values)
-                     for j in range(len(self.columns)))
-
-
-def overlap_closed_forms(d: int) -> OverlapTable:
-    """The closed-form overlap table for dimension d >= 3."""
     if d < 3:
         raise ValueError("d must be at least 3")
     cols = present_shapes(d)
@@ -455,13 +434,12 @@ def overlap_closed_forms(d: int) -> OverlapTable:
     adjoint = {(1, 1, 1, 1): Fraction(-2 * (d + 1), d * (d - 2)),
                (2, 2): Fraction(1, d),
                (2, 1, 1): Fraction(2, d * (d - 2))}
-    rows = (tuple(bell[s] for s in cols),
+    return (tuple(bell[s] for s in cols),
             tuple(adjoint[s] for s in cols),
             tuple(1 - bell[s] - adjoint[s] for s in cols))
-    return OverlapTable(d, cols, rows)
 
 
-def ppt_overlap_table(d: int) -> OverlapTable:
+def ppt_overlap_table(d: int) -> Rows:
     """Overlap table from explicit matrices (not the closed forms).
 
     The ``invariant_projectors`` (adjoint halved) are paired with the exact
@@ -470,21 +448,20 @@ def ppt_overlap_table(d: int) -> OverlapTable:
     """
     if d < 3:
         raise ValueError("d must be at least 3")
-    cols = present_shapes(d)
     basis = PairBasis(d)
     bell, adjoint, tail = invariant_projectors(d)
     half_adjoint = adjoint.scale(Fraction(1, 2))
     ops = (bell, half_adjoint, tail + half_adjoint)
     rows = [[], [], []]
-    for shape in cols:
+    for shape in present_shapes(d):
         rho = basis.restricted_element(young_state_element(shape, d))
-        rho_pt = rho.partial_transpose((1,))
+        rho_pt = rho.partial_transpose((basis.m, basis.m), (1,))
         for row, op in zip(rows, ops):
             row.append(rho_pt.trace_product(op))
-    return OverlapTable(d, cols, tuple(tuple(r) for r in rows))
+    return tuple(tuple(r) for r in rows)
 
 
-def symbolic_overlap_table(d: int) -> OverlapTable:
+def symbolic_overlap_table(d: int) -> Rows:
     """Overlap table from cycle-count traces (not the closed forms).
 
     Phi^Gamma = F/d reduces every entry to permutation traces:
@@ -494,9 +471,8 @@ def symbolic_overlap_table(d: int) -> OverlapTable:
     """
     if d < 3:
         raise ValueError("d must be at least 3")
-    cols = present_shapes(d)
     rows = [[], [], []]
-    for shape in cols:
+    for shape in present_shapes(d):
         elem = young_state_element(shape, d)
         f_both = elem.trace_with(_FLIP_BOTH, d)
         f_single = elem.trace_with(_FLIP_BB, d)
@@ -505,12 +481,10 @@ def symbolic_overlap_table(d: int) -> OverlapTable:
         rows[0].append(bell)
         rows[1].append(adjoint)
         rows[2].append(1 - bell - adjoint)
-    return OverlapTable(d, cols, tuple(tuple(r) for r in rows))
+    return tuple(tuple(r) for r in rows)
 
 
 # -- PPT constraint matrix -----------------------------------------------------
-
-Rows = tuple[tuple[Fraction, ...], ...]
 
 CORNER_VARIANTS = ("derived", "alt")
 
@@ -536,9 +510,9 @@ def constraint_columns(d, corner: str = "derived"
     if not isinstance(d, int) or d < 3:
         raise ValueError("d must be an integer >= 3 or infinity")
     cols = present_shapes(d)
-    table = overlap_closed_forms(d)
     scales = (Fraction(d * (d - 1), 2), Fraction(d), Fraction(1))
-    rows = [[s * v for v in row] for s, row in zip(scales, table.values)]
+    rows = [[s * v for v in row]
+            for s, row in zip(scales, overlap_closed_forms(d))]
     if corner == "alt":
         rows[2][cols.index((2, 1, 1))] = (
             1 - Fraction(2 * d - 3, d * (d - 1) * (d - 2)))

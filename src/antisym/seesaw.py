@@ -130,6 +130,8 @@ def purity_seesaw(n: int, d: int, restarts: int = 10, iterations: int = 200,
         raise ValueError("need n >= 1 and d >= 2")
     if restarts < 1 or iterations < 1:
         raise ValueError("restarts and iterations must be positive")
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
     if d ** (2 * n) > DIMENSION_GUARD:
         raise ResourceLimitError(
             f"d^(2n) = {d ** (2 * n)} exceeds the guard {DIMENSION_GUARD}")

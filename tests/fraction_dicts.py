@@ -7,12 +7,12 @@ from math import lcm
 from antisym.linalg import SparseRMatrix
 
 
-def matrix(n, entries, factor_dims=None) -> SparseRMatrix:
+def matrix(n, entries) -> SparseRMatrix:
     """The n x n matrix with the given int or Fraction entries."""
     values = [Fraction(v) for v in entries.values()]
     den = lcm(*(v.denominator for v in values))
     return SparseRMatrix(n, {k: int(v * den) for k, v in zip(entries, values)},
-                         den, factor_dims)
+                         den)
 
 
 def entries(m: SparseRMatrix) -> dict:

@@ -83,6 +83,11 @@ def test_lp_dual_rejects_negative_gamma(capsys):
         2, "", "error: gamma must satisfy gamma >= 0\n")
 
 
+def test_purity_rejects_negative_seed(capsys):
+    assert run(capsys, "purity", "--d", "3", "--n", "1", "--seed", "-1") == (
+        2, "", "error: seed must be non-negative\n")
+
+
 @pytest.mark.parametrize("argv", [
     ("lp", "primal"), ("lp", "dual"), ("bounds", "--d", "4"),
     ("purity", "--d", "4")])
@@ -239,7 +244,7 @@ def test_verify_rep_failure_exit_code(capsys, monkeypatch):
     werner_mixture = cli.prj.werner_mixture
 
     def perturbed(p, d):
-        nudge = SparseRMatrix.identity(d * d, (d, d)).scale(F(1, 10 ** 6))
+        nudge = SparseRMatrix.identity(d * d).scale(F(1, 10 ** 6))
         return werner_mixture(p, d) + nudge
 
     monkeypatch.setattr(cli.prj, "werner_mixture", perturbed)

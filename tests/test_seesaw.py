@@ -284,6 +284,9 @@ def test_bad_arguments():
         purity_seesaw(0, 3)
     with pytest.raises(ValueError):
         purity_seesaw(1, 3, restarts=0)
+    # the seed is checked before the size guard, so no work is done
+    with pytest.raises(ValueError, match="^seed must be non-negative$"):
+        purity_seesaw(3, 8, seed=-1)
 
 
 def test_sandwich_against_exact_bounds():
