@@ -201,8 +201,9 @@ def cmd_lp_primal(args):
     d = math.inf if args.d is None else _check_d(args.d)
     n = args.n
     _check_positive(n=n)
-    value = prg.solve_purity_bound(n, d, parity=args.parity, form=args.form,
-                                   corner=args.corner).value
+    bound = prg.solve_purity_bound(n, d, parity=args.parity, form=args.form,
+                                   corner=args.corner)
+    value = bound.value
     ec = bnd.cost_bound_from_purity(value, n, d)
     rows = [
         _row("purity_bound", value,
@@ -211,8 +212,8 @@ def cmd_lp_primal(args):
              decimal=ec.log2_value, n=n, d=d),
         _row("er_lower", value, "-(1/2n) log2 of the purity bound",
              decimal=bnd.relent_lower_bound(ec).log2_value, n=n, d=d),
-        _row("dual_value", value, "dual optimum (certifies the primal)",
-             n=n, d=d),
+        _row("dual_value", prg.dual_value(bound),
+             "dual optimum (certifies the primal)", n=n, d=d),
     ]
     return ({"n": n, "d": d, "form": args.form or "", "parity": args.parity,
              "corner": args.corner}, rows, None)
@@ -304,7 +305,7 @@ def _verification_checks(d: int, level: str):
         names = list(elems)
         for i in range(len(names)):
             for j in range(i + 1, len(names)):
-                if (elems[names[i]] * elems[names[j]]).coeffs:
+                if not (elems[names[i]] * elems[names[j]]).is_zero():
                     return False
         total = elems[(1, 1, 1, 1)] + elems[(2, 2)] + elems[(2, 1, 1)]
         return total == pair

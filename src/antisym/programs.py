@@ -6,9 +6,10 @@ alphabet; objective weights and PPT constraint rows are tensor powers of the
 single-copy data.  Everything is invariant under permuting the copies, so the
 programme is reduced to one variable per occurrence-count type (aggregated
 mass), shrinking 3^n variables to C(n+2,2) and likewise for constraints.
-``single_copy`` gives the single-copy data that the reduced and the unreduced
-(reference) programme are both built from; ``SymLP.to_lp`` assembles the
-reduced rows in integers, degree by degree, as int rows over one denominator.
+``single_copy`` gives the single-copy data that the reduced programme and
+the tests' unreduced reference programme are both built from;
+``SymLP.to_lp`` assembles the reduced rows in integers, degree by degree, as
+int rows over one denominator.
 
 Two forms exist:
 
@@ -26,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import comb, factorial, prod
 from typing import Iterator, NamedTuple
 
@@ -125,13 +125,21 @@ def _normalized_lp(c: list[int], c_den: int, a_ub: list[list[int]],
                    dens: list[int], normalization: str) -> LPProblem:
     """max (c / c_den).x over the homogeneous rows (a_ub[i] / dens[i]).x <= 0
     and the normalisation sum x = 1 ("eq") or sum x <= 1 ("le")."""
-    b_ub = [0] * len(a_ub)
+    b_ub, b_eq = _right_hand_sides(len(a_ub), normalization)
     ones = [1] * len(c)
     if normalization == "eq":
-        return LPProblem(c, a_ub, b_ub, a_eq=[ones], b_eq=[1], obj_den=c_den,
+        return LPProblem(c, a_ub, b_ub, a_eq=[ones], b_eq=b_eq, obj_den=c_den,
                          ub_den=dens)
-    return LPProblem(c, a_ub + [ones], b_ub + [1], obj_den=c_den,
-                     ub_den=dens + [1])
+    return LPProblem(c, a_ub + [ones], b_ub, obj_den=c_den, ub_den=dens + [1])
+
+
+def _right_hand_sides(rows: int, normalization: str
+                      ) -> tuple[list[int], list[int]]:
+    """(b_ub, b_eq) of ``_normalized_lp`` with ``rows`` homogeneous rows: zero
+    on each of those, one on the normalisation row, which comes last."""
+    if normalization == "eq":
+        return [0] * rows, [1]
+    return [0] * rows + [1], []
 
 
 def single_copy(d=DINF, form: str | None = None,
@@ -194,6 +202,18 @@ def solve_purity_bound(n: int, d=DINF, parity: str = "none",
     if sol.status != "optimal":
         raise RuntimeError(f"purity LP unexpectedly {sol.status}")
     return PurityBound(sol.value, sol, symlp)
+
+
+def dual_value(bound: PurityBound) -> Fraction:
+    """The dual objective sum_i y_i b_i of the certified duals y in
+    ``bound.solution`` against the right-hand sides b of the programme's
+    rows.  The certificate of ``simplex_solve`` proves it equal to the
+    primal optimum; the right-hand sides come without assembling the rows."""
+    program, sol = bound.program, bound.solution
+    b_ub, b_eq = _right_hand_sides(len(program.row_types),
+                                   program.normalization)
+    return sum((y * b for y, b in zip(sol.y_ub + sol.y_eq, b_ub + b_eq,
+                                      strict=True)), Fraction(0))
 
 
 # -- the reduced dual of the truncated programme -------------------------------
@@ -287,20 +307,3 @@ def solve_dual(n: int) -> DualBound:
     if sol.status != "optimal":
         raise RuntimeError(f"dual LP unexpectedly {sol.status}")
     return DualBound(-sol.value, sol)
-
-
-# -- unreduced reference programme (for soundness tests and small n) -----------
-
-def build_unreduced(n: int, d=DINF, form: str | None = None,
-                    corner: str = "derived") -> LPProblem:
-    """The same programme over all strings, without symmetry reduction."""
-    symbols, weights, rows, normalization = single_copy(d, form, corner)
-    strings = list(product(range(len(symbols)), repeat=n))
-    weights, weight_den = _lowest_terms(weights)
-    scaled = [_lowest_terms(row) for row in rows]
-    c = [prod(weights[y] for y in w) for w in strings]
-    patterns = list(product(scaled, repeat=n))
-    a_ub = [[-prod(nums[y] for (nums, _), y in zip(rpat, w)) for w in strings]
-            for rpat in patterns]
-    dens = [prod(den for _, den in rpat) for rpat in patterns]
-    return _normalized_lp(c, weight_den ** n, a_ub, dens, normalization)

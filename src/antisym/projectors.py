@@ -7,6 +7,11 @@ Tensor factors are ordered A, B, A', B' (indices 0..3).  The primed pair is
 factors 2 and 3; the partial transpose across the AB:A'B' cut transposes
 those two factors.
 
+Group-algebra elements are stored as ``SparseRMatrix`` is: int numerators
+over one int denominator, in lowest terms.  Sums, convolution products,
+adjoints, traces and operators run in ints; only the traces come back as
+``Fraction``s.
+
 Each quantity has one route here.  Two kinds of route exist, and the
 ``verify rep`` battery checks one against the other:
 
@@ -16,8 +21,8 @@ Each quantity has one route here.  Two kinds of route exist, and the
 * explicit exact matrices, all ``SparseRMatrix`` (int numerators over one
   int denominator): ``young_state``, ``reduced_pair_state``,
   ``invariant_projectors`` and ``ppt_overlap_table``.  Full-space operators
-  have at most 24 d^4 nonzeros (one group-algebra element, summed in ints
-  over the lcm of its coefficients' denominators); the reduced two-factor
+  have at most 24 d^4 nonzeros (one group-algebra element, its numerators
+  summed in ints over its denominator); the reduced two-factor
   states are their partial traces.  Products and idempotence are checked on
   the pair subspace wedge2 x wedge2, where all operators of interest are
   supported, as m^2 x m^2 matrices.  The restriction is an algebra
@@ -32,7 +37,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
 
-from .linalg import ShapeError, SparseRMatrix
+from .linalg import (RationalLike, ShapeError, SparseRMatrix, _frac,
+                     _lowest_terms)
 from .young import Partition, weyl_dimension
 
 YOUNG_SHAPES: tuple[Partition, ...] = ((1, 1, 1, 1), (2, 2), (2, 1, 1))
@@ -106,79 +112,99 @@ class Perm4:
 S4: tuple[Perm4, ...] = tuple(Perm4(p) for p in permutations((1, 2, 3, 4)))
 
 
+# the position in S4 of each image tuple, and that of p * q at byte
+# 24 * position(p) + position(q)
+_POSITION: dict[tuple[int, ...], int] = {p.images: i for i, p in enumerate(S4)}
+_PRODUCTS = bytes(_POSITION[(p * q).images] for p in S4 for q in S4)
+
+
 class GroupAlgebraElement:
-    """Finitely supported rational combination of S4 permutations."""
+    """Finitely supported rational combination of S4 permutations: int
+    numerators ``{Perm4: int}`` over one positive int ``den``, canonical as
+    in ``SparseRMatrix`` (no zero numerator, ``gcd(den, *nums) == 1``), so
+    equal elements have equal ``nums`` and ``den``."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("nums", "den")
 
-    def __init__(self, coeffs: dict[Perm4, Fraction] | None = None):
-        self.coeffs = {}
-        if coeffs:
-            for p, c in coeffs.items():
-                c = Fraction(c)
-                if c != 0:
-                    self.coeffs[p] = c
+    def __init__(self, coeffs: dict[Perm4, RationalLike] | None = None,
+                 den: int = 1):
+        """The element sum_p (coeffs[p] / den) p, from int or Fraction
+        coefficients, zeros allowed, over a positive int ``den``."""
+        coeffs = coeffs or {}
+        nums, self.den = _lowest_terms(list(coeffs.values()), den)
+        self.nums = {p: v for p, v in zip(coeffs, nums) if v}
 
     @classmethod
     def unit(cls) -> "GroupAlgebraElement":
-        return cls({Perm4.identity(): Fraction(1)})
+        return cls({Perm4.identity(): 1})
 
     @classmethod
     def of(cls, perm: Perm4) -> "GroupAlgebraElement":
-        return cls({perm: Fraction(1)})
+        return cls({perm: 1})
 
     def __add__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
-        out = dict(self.coeffs)
-        for p, c in other.coeffs.items():
-            out[p] = out.get(p, Fraction(0)) + c
-        return GroupAlgebraElement(out)
+        den = math.lcm(self.den, other.den)
+        f, g = den // self.den, den // other.den
+        out = {p: f * v for p, v in self.nums.items()}
+        for p, v in other.nums.items():
+            out[p] = out.get(p, 0) + g * v
+        return GroupAlgebraElement(out, den)
 
     def __sub__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
         return self + other.scale(-1)
 
-    def scale(self, r) -> "GroupAlgebraElement":
-        r = Fraction(r)
-        return GroupAlgebraElement({p: r * c for p, c in self.coeffs.items()})
+    def scale(self, r: RationalLike) -> "GroupAlgebraElement":
+        r = _frac(r)
+        return GroupAlgebraElement(
+            {p: r.numerator * v for p, v in self.nums.items()},
+            self.den * r.denominator)
 
     def __mul__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
-        """Convolution product; matches composition of the operators."""
-        out: dict[Perm4, Fraction] = {}
-        for p, a in self.coeffs.items():
-            for q, b in other.coeffs.items():
-                pq = p * q
-                out[pq] = out.get(pq, Fraction(0)) + a * b
-        return GroupAlgebraElement(out)
+        """Convolution product; matches composition of the operators.  The
+        numerator products are summed over ``self.den * other.den`` and the
+        sum is reduced once."""
+        right = [(_POSITION[q.images], b) for q, b in other.nums.items()]
+        out: dict[int, int] = {}
+        for p, a in self.nums.items():
+            row = 24 * _POSITION[p.images]
+            for j, b in right:
+                pq = _PRODUCTS[row + j]
+                out[pq] = out.get(pq, 0) + a * b
+        return GroupAlgebraElement({S4[k]: v for k, v in out.items()},
+                                   self.den * other.den)
 
     def adjoint(self) -> "GroupAlgebraElement":
-        return GroupAlgebraElement({p.inverse(): c for p, c in self.coeffs.items()})
+        return GroupAlgebraElement(
+            {p.inverse(): v for p, v in self.nums.items()}, self.den)
+
+    def is_zero(self) -> bool:
+        return not self.nums
 
     def trace_in_dimension(self, d: int) -> Fraction:
         """Trace of the represented operator on (C^d)^{x4}."""
-        return sum((c * d ** p.cycle_count() for p, c in self.coeffs.items()),
-                   Fraction(0))
+        return Fraction(sum(v * d ** p.cycle_count()
+                            for p, v in self.nums.items()), self.den)
 
     def trace_with(self, perm: Perm4, d: int) -> Fraction:
         """tr(U_self U_perm), evaluated by cycle counting."""
-        return sum((c * d ** (p * perm).cycle_count()
-                    for p, c in self.coeffs.items()), Fraction(0))
+        return Fraction(sum(v * d ** (p * perm).cycle_count()
+                            for p, v in self.nums.items()), self.den)
 
     def to_operator(self, d: int) -> SparseRMatrix:
-        """Sparse operator on (C^d)^{x4}.  Entries are summed as integers
-        over the common denominator of the coefficients."""
-        den = math.lcm(*(c.denominator for c in self.coeffs.values()))
+        """Sparse operator on (C^d)^{x4}: the numerators summed as integers
+        over the element's denominator."""
         sums: dict[tuple[int, int], int] = {}
-        for p, c in self.coeffs.items():
-            w = c.numerator * (den // c.denominator)
+        for p, v in self.nums.items():
             for key in _perm_pairs(p.images, d):
-                sums[key] = sums.get(key, 0) + w
-        return SparseRMatrix(d ** 4, sums, den)
+                sums[key] = sums.get(key, 0) + v
+        return SparseRMatrix(d ** 4, sums, self.den)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, GroupAlgebraElement)
-                and self.coeffs == other.coeffs)
+                and self.den == other.den and self.nums == other.nums)
 
     def __repr__(self) -> str:
-        return f"GroupAlgebraElement({len(self.coeffs)} terms)"
+        return f"GroupAlgebraElement({len(self.nums)} terms)"
 
 
 @lru_cache(maxsize=None)

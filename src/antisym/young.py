@@ -14,7 +14,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterator, NamedTuple, Sequence
 
-from .linalg import Rational, RationalLike, _frac
+from .linalg import Rational, RationalLike, _frac, _lowest_terms
 
 Partition = tuple[int, ...]
 
@@ -89,6 +89,10 @@ def schur_eval(shape: Sequence[int], values: Sequence[RationalLike]) -> Rational
     one variable at a time over the shapes contained in ``shape``; in no
     variables only the empty shape gives 1, so a shape with more rows than
     variables gives 0.
+
+    The rule runs in ints: s_lam is homogeneous of degree |lam|, so
+    s_lam(x) = s_lam(D x) / D^|lam| for D a common denominator of the
+    values, and D x is an integer point.
     """
     lam = normalize_partition(shape)
     shapes = {lam}
@@ -98,14 +102,17 @@ def schur_eval(shape: Sequence[int], values: Sequence[RationalLike]) -> Rational
             if mu not in shapes:
                 shapes.add(mu)
                 stack.append(mu)
-    level = {mu: Fraction(0 if mu else 1) for mu in shapes}
-    for v in values:
-        xk = _frac(v)
-        level = {mu: sum((xk ** (sum(mu) - sum(nu)) * level[nu]
-                          for nu in _horizontal_strip_predecessors(mu)),
-                         Fraction(0))
-                 for mu in shapes}
-    return level[lam]
+    strips = {mu: [(sum(mu) - sum(nu), nu)
+                   for nu in _horizontal_strip_predecessors(mu)]
+              for mu in shapes}
+    nums, den = _lowest_terms([_frac(v) for v in values])
+    size = sum(lam)
+    level = {mu: 0 if mu else 1 for mu in shapes}
+    for xk in nums:
+        powers = [xk ** k for k in range(size + 1)]
+        level = {mu: sum(powers[k] * level[nu] for k, nu in strip)
+                 for mu, strip in strips.items()}
+    return Fraction(level[lam], den ** size)
 
 
 class PlethysmCheck(NamedTuple):

@@ -50,6 +50,29 @@ def test_lp_primal_dimension_three(capsys):
     assert "1/4" in out
 
 
+def test_lp_primal_dual_row_reads_the_certified_duals(capsys, monkeypatch):
+    from dataclasses import replace
+
+    from antisym import cli
+
+    solve = cli.prg.solve_purity_bound
+
+    def moved(*args, **kwargs):
+        bound = solve(*args, **kwargs)
+        sol = bound.solution
+        # the eq normalisation row is the only row with a nonzero right side
+        return bound._replace(solution=replace(
+            sol, y_eq=[sol.y_eq[0] + F(1, 3)]))
+
+    monkeypatch.setattr(cli.prg, "solve_purity_bound", moved)
+    code, out, _ = run(capsys, "lp", "primal", "--n", "2", "--d", "3",
+                       "--form", "full3", "--format", "json")
+    assert code == 0
+    rows = {r["quantity"]: r for r in json.loads(out)["results"]}
+    assert rows["purity_bound"]["exact"] == {"num": "1", "den": "4"}
+    assert rows["dual_value"]["exact"] == {"num": "7", "den": "12"}
+
+
 def test_lp_primal_rejects_bad_combination(capsys):
     code, _, err = run(capsys, "lp", "primal", "--n", "2", "--d", "5",
                        "--form", "truncated2")
@@ -257,6 +280,31 @@ def test_verify_rep_failure_exit_code(capsys, monkeypatch):
     assert rows["reduced_pair_states"]["decimal"] == 0.0
     assert all(r["exact"]["num"] == "1" for name, r in rows.items()
                if name != "reduced_pair_states")
+
+
+def test_verify_rep_catches_one_wrong_group_algebra_numerator(capsys,
+                                                              monkeypatch):
+    from antisym import cli
+    from antisym.projectors import GroupAlgebraElement, Perm4
+
+    element = cli.prj.young_projector_element
+
+    def wrong(shape):
+        elem = element(shape)
+        if shape != (2, 2):
+            return elem
+        nums = dict(elem.nums)
+        nums[Perm4.identity()] += 1
+        return GroupAlgebraElement(nums, elem.den)
+
+    monkeypatch.setattr(cli.prj, "young_projector_element", wrong)
+    code, out, err = run(capsys, "verify", "rep", "--d", "4", "--format",
+                         "json")
+    assert code == cli.EXIT_VERIFY == 1
+    assert err == "verification failed: projector group algebra\n"
+    rows = {r["quantity"]: r for r in json.loads(out)["results"]}
+    assert rows["projector_group_algebra"]["exact"] == {"num": "0", "den": "1"}
+    assert rows["plethysm_characters"]["exact"] == {"num": "1", "den": "1"}
 
 
 def test_verify_rep_range(capsys):

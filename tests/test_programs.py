@@ -1,6 +1,7 @@
 """Symmetry-reduced purity programmes and their duals."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction as F
 from itertools import product
 
@@ -8,10 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from antisym.programs import (DINF, SymLP, analytic_dual_point,
-                              build_dual, build_purity_bound, build_unreduced,
-                              compositions, dual_coeff, single_copy,
-                              solve_dual, solve_purity_bound)
+from antisym.linalg import _lowest_terms
+from antisym.programs import (DINF, SymLP, _normalized_lp,
+                              analytic_dual_point, build_dual,
+                              build_purity_bound, compositions, dual_coeff,
+                              dual_value, single_copy, solve_dual,
+                              solve_purity_bound)
 from antisym.simplex import LPProblem, simplex_solve
 
 GOLDEN = {1: F(1, 2), 2: F(1, 2), 4: F(1, 4), 6: F(1, 7),
@@ -177,6 +180,22 @@ def reference_build_dual(n):
                      b_ub=b_ub)
 
 
+def build_unreduced(n, d=DINF, form=None):
+    """The same programme over all strings, without symmetry reduction, as
+    int rows over one denominator each."""
+    symbols, weights, rows, normalization = single_copy(d, form)
+    strings = list(product(range(len(symbols)), repeat=n))
+    weights, weight_den = _lowest_terms(weights)
+    scaled = [_lowest_terms(row) for row in rows]
+    c = [math.prod(weights[y] for y in w) for w in strings]
+    patterns = list(product(scaled, repeat=n))
+    a_ub = [[-math.prod(nums[y] for (nums, _), y in zip(rpat, w))
+             for w in strings]
+            for rpat in patterns]
+    dens = [math.prod(den for _, den in rpat) for rpat in patterns]
+    return _normalized_lp(c, weight_den ** n, a_ub, dens, normalization)
+
+
 def reference_build_unreduced(n, d=DINF, form=None):
     """The unreduced programme from Fraction products over all strings."""
     symbols, weights, rows, normalization = single_copy(d, form)
@@ -307,6 +326,40 @@ def test_symmetry_reduction_soundness():
         unreduced = simplex_solve(build_unreduced(n, DINF,
                                                   form="truncated2")).value
         assert reduced == unreduced
+
+
+@pytest.mark.parametrize("n, d, parity, form", [
+    (6, DINF, "none", None), (3, DINF, "none", "full3"),
+    (4, 4, "none", "full3"), (4, 3, "none", "full3"),
+    (4, 6, "even", "full3")])
+def test_dual_value_is_the_dual_objective_of_the_assembled_rows(n, d, parity,
+                                                                form):
+    bound = solve_purity_bound(n, d, parity, form)
+    lp, sol = bound.program.to_lp(), bound.solution
+    assembled = sum(y * F(b, den) for y, b, den in
+                    zip(sol.y_ub + sol.y_eq, lp.b_ub + lp.b_eq,
+                        lp.ub_den + lp.eq_den))
+    assert dual_value(bound) == assembled == bound.value
+
+
+def test_dual_value_moves_with_the_duals():
+    for bound in (solve_purity_bound(4, 4, form="full3"),   # sum x = 1
+                  solve_purity_bound(4)):                    # sum x <= 1
+        sol = bound.solution
+        duals = sol.y_ub + sol.y_eq
+        # the normalisation row comes last and has right-hand side one
+        moved = duals[:-1] + [duals[-1] + F(1, 7)]
+        split = len(sol.y_ub)
+        solution = replace(sol, y_ub=moved[:split], y_eq=moved[split:])
+        assert (dual_value(bound._replace(solution=solution))
+                == bound.value + F(1, 7))
+        # a homogeneous PPT row has right-hand side zero
+        moved = [duals[0] + 5] + duals[1:]
+        solution = replace(sol, y_ub=moved[:split], y_eq=moved[split:])
+        assert dual_value(bound._replace(solution=solution)) == bound.value
+        short = replace(sol, y_ub=sol.y_ub[1:])
+        with pytest.raises(ValueError):
+            dual_value(bound._replace(solution=short))
 
 
 def test_parity_restriction_is_a_restriction():

@@ -1,5 +1,6 @@
 """Four-factor operators: group algebra, Young projectors, overlap tables."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -83,9 +84,10 @@ SQUARE_PROJECTOR_EXPANSION = {
 
 
 def test_square_projector_expansion_is_frozen():
-    expected = {Perm4.from_cycles(*cycles): F(c, 24)
-                for cycles, c in SQUARE_PROJECTOR_EXPANSION.items()}
-    assert young_projector_element(SQ).coeffs == expected
+    elem = young_projector_element(SQ)
+    assert elem.den == 24
+    assert elem.nums == {Perm4.from_cycles(*cycles): c
+                         for cycles, c in SQUARE_PROJECTOR_EXPANSION.items()}
 
 
 def test_projector_elements_algebra():
@@ -93,9 +95,9 @@ def test_projector_elements_algebra():
     for s, e in elems.items():
         assert e * e == e, s
         assert e.adjoint() == e, s
-    assert not (elems[B4] * elems[SQ]).coeffs
-    assert not (elems[B4] * elems[TAIL]).coeffs
-    assert not (elems[SQ] * elems[TAIL]).coeffs
+    assert (elems[B4] * elems[SQ]).is_zero()
+    assert (elems[B4] * elems[TAIL]).is_zero()
+    assert (elems[SQ] * elems[TAIL]).is_zero()
     assert elems[B4] + elems[SQ] + elems[TAIL] == pair_projector_element()
 
 
@@ -106,6 +108,9 @@ def test_projector_traces_match_dimensions():
                     == weyl_dimension(s, d))
         assert (pair_projector_element().trace_in_dimension(d)
                 == (d * (d - 1) // 2) ** 2)
+    # the antisymmetriser vanishes at d = 3, by either route
+    elem = young_projector_element(B4)
+    assert elem.trace_in_dimension(3) == elem.to_operator(3).trace() == 0
 
 
 def test_dense_projectors_idempotent_at_d3():
@@ -132,15 +137,17 @@ def test_young_state_normalisation_and_errors():
 def _reference_operator(elem: GroupAlgebraElement, d: int) -> SparseRMatrix:
     """sum_p c_p U_p, one permutation operator at a time."""
     out = SparseRMatrix(d ** 4, {})
-    for p, c in elem.coeffs.items():
-        out = out + perm_operator(p, d).scale(c)
+    for p, v in elem.nums.items():
+        out = out + perm_operator(p, d).scale(F(v, elem.den))
     return out
 
 
-group_elements = st.dictionaries(
+# mixed denominators and negative coefficients, as {Perm4: Fraction} dicts
+fraction_coeffs = st.dictionaries(
     st.sampled_from(S4),
     st.fractions(min_value=-3, max_value=3, max_denominator=12),
-    max_size=8).map(GroupAlgebraElement)
+    max_size=8)
+group_elements = fraction_coeffs.map(GroupAlgebraElement)
 
 
 @given(group_elements, st.fractions(min_value=-2, max_value=2,
@@ -166,6 +173,56 @@ def test_to_operator_of_cancelling_elements_stores_no_zero():
     t = GroupAlgebraElement.of(Perm4.from_cycles((1, 2)))
     # (e - t)(e + t) = e - t^2 = 0 in the group algebra already
     assert ((e - t) * (e + t)).to_operator(3).is_zero()
+
+
+def reference_product(a: dict, b: dict) -> dict:
+    """The convolution product of two {Perm4: Fraction} dicts, one Fraction
+    term at a time, without its zero coefficients."""
+    out = {}
+    for p, x in a.items():
+        for q, y in b.items():
+            out[p * q] = out.get(p * q, F(0)) + x * y
+    return {p: c for p, c in out.items() if c}
+
+
+def assert_lowest_terms(elem):
+    assert elem.den > 0 and all(type(v) is int for v in elem.nums.values())
+    assert all(elem.nums.values())
+    assert math.gcd(elem.den, *elem.nums.values()) == 1
+
+
+@given(fraction_coeffs, fraction_coeffs)
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_int_product_matches_reference_product(a, b):
+    got = GroupAlgebraElement(a) * GroupAlgebraElement(b)
+    assert got == GroupAlgebraElement(reference_product(a, b))
+    assert_lowest_terms(got)
+    assert_lowest_terms(GroupAlgebraElement(a) + GroupAlgebraElement(b))
+    assert_lowest_terms(GroupAlgebraElement(a).scale(F(-6, 5)))
+
+
+@given(fraction_coeffs, st.sampled_from(
+    [Perm4.from_cycles((i, j)) for i in range(1, 5) for j in range(i + 1, 5)]))
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_int_products_that_cancel_are_zero(a, t):
+    ident = Perm4.identity()
+    minus, plus = {ident: 1, t: -1}, {ident: 1, t: 1}
+    x = GroupAlgebraElement(a)
+    # (e - t)(e + t) = e - t^2 = 0, whatever stands before it
+    zero = x * GroupAlgebraElement(minus) * GroupAlgebraElement(plus)
+    assert zero.is_zero() and zero.den == 1 and zero == GroupAlgebraElement()
+    assert reference_product(reference_product(a, minus), plus) == {}
+    # the antisymmetriser is central and annihilates the (2,2) projector
+    assert (young_projector_element(B4) * x
+            * young_projector_element(SQ)).is_zero()
+
+
+@given(group_elements, st.sampled_from(S4), st.sampled_from((3, 4, 5)))
+@settings(max_examples=15, deadline=None, derandomize=True)
+def test_traces_match_the_operator_route(elem, perm, d):
+    op = elem.to_operator(d)
+    assert elem.trace_in_dimension(d) == op.trace()
+    assert elem.trace_with(perm, d) == op.trace_product(perm_operator(perm, d))
 
 
 def test_full_space_operators_are_sparse():

@@ -12,6 +12,8 @@ from antisym.young import (plethysm_check, plethysm_dimensions, schur_eval,
                            ssyt_count, weyl_dimension)
 
 rational = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+# ints, and Fractions of either sign over different denominators
+mixed = st.one_of(st.integers(min_value=-4, max_value=4), rational)
 
 
 def brute_force_schur(shape, values):
@@ -117,10 +119,28 @@ def test_schur_at_ones_is_dimension():
 
 
 @given(st.sampled_from([s for s in all_partitions_up_to(5) if len(s) <= 4]),
-       st.lists(rational, min_size=0, max_size=4))
-@settings(max_examples=60, deadline=None, derandomize=True)
+       st.lists(mixed, min_size=0, max_size=4))
+@settings(max_examples=80, deadline=None, derandomize=True)
 def test_schur_matches_brute_force_tableau_sum(shape, values):
-    assert schur_eval(shape, values) == brute_force_schur(shape, values)
+    got = schur_eval(shape, values)
+    assert type(got) is F
+    assert got == brute_force_schur(shape, values)
+
+
+def test_schur_edge_cases():
+    # no variables: only the empty shape gives 1
+    assert schur_eval((), []) == 1 and schur_eval((2, 1), []) == 0
+    assert type(schur_eval((), [])) is F
+    # more rows than variables
+    assert schur_eval((1, 1, 1), [F(2, 3), -5]) == 0
+    # s_(2,1,1) = e_3 e_1 in exactly three variables
+    assert schur_eval((2, 1, 1), [F(1, 2), F(-1, 3), 7]) == F(-301, 36)
+    # a zero value drops every tableau that uses it
+    point = [F(3, 4), 0, F(-2, 5)]
+    for shape in ((2,), (2, 1), (1, 1)):
+        assert schur_eval(shape, point) == brute_force_schur(shape, point)
+        assert schur_eval(shape, point) == schur_eval(shape, point[::2])
+    assert schur_eval((1, 1, 1), point) == 0
 
 
 @given(st.lists(rational, min_size=3, max_size=5))
