@@ -7,14 +7,12 @@ the exact simplex and symmetry-reduced programmes (``simplex``,
 (``bounds``, ``seesaw``) and the command-line frontend (``cli``).
 """
 
-from .bounds import (BoundReport, analytic_cost_bound, continuity_bound,
+from .bounds import (BoundReport, analytic_cost_bound,
                      cost_bound_from_purity, extension_cmi,
-                     relent_lower_bound, relent_ppt_value,
-                     squashed_upper_bound)
+                     relent_lower_bound, relent_ppt_value, squashed_upper_bound)
 from .linalg import Rational, SparseRMatrix
-from .programs import (DINF, analytic_dual_point, build_dual,
-                       build_purity_bound, dual_coeff, solve_dual,
-                       solve_purity_bound)
+from .programs import (DINF, analytic_dual_point, build_purity_bound,
+                       solve_dual, solve_purity_bound)
 from .projectors import (invariant_projectors, overlap_closed_forms,
                          ppt_overlap_table, symbolic_overlap_table,
                          young_state)
@@ -26,8 +24,7 @@ from .young import (plethysm_check, plethysm_dimensions, schur_eval,
 __all__ = [
     "BoundReport", "DINF", "LPProblem", "LPSolution", "Rational",
     "SparseRMatrix", "analytic_cost_bound", "analytic_dual_point",
-    "build_dual", "build_purity_bound", "continuity_bound",
-    "cost_bound_from_purity", "dual_coeff", "extension_cmi",
+    "build_purity_bound", "cost_bound_from_purity", "extension_cmi",
     "invariant_projectors", "overlap_closed_forms", "plethysm_check",
     "plethysm_dimensions", "ppt_overlap_table", "purity_seesaw",
     "relent_lower_bound", "relent_ppt_value", "schur_eval", "simplex_solve",

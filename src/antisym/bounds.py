@@ -21,15 +21,6 @@ def log2_fraction(value: Fraction) -> float:
     return math.log2(value.numerator) - math.log2(value.denominator)
 
 
-def binary_entropy(p: float) -> float:
-    """Shannon entropy of (p, 1-p) in bits; continuous extension at 0 and 1."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("argument must lie in [0, 1]")
-    if p in (0.0, 1.0):
-        return 0.0
-    return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
-
-
 @dataclass(frozen=True)
 class BoundReport:
     """A bound ``core_coeff * log2(exact_core)``: an exact rational core and
@@ -160,18 +151,8 @@ def relent_ppt_value(d: int) -> BoundReport:
     )
 
 
-def continuity_bound(eps: float, d: int) -> float:
-    """Asymptotic-continuity modulus 2 (eps + h(eps)) log2(d)."""
-    if d < 2:
-        raise ValueError("d must be at least 2")
-    if not 0.0 <= eps <= 1.0:
-        raise ValueError("eps must lie in [0, 1]")
-    return 2.0 * (eps + binary_entropy(eps)) * math.log2(d)
-
-
 __all__ = [
-    "BoundReport", "ExtensionCmi", "analytic_cost_bound", "binary_entropy",
-    "continuity_bound", "cost_bound_from_purity", "extension_cmi",
-    "log2_fraction", "relent_lower_bound", "relent_ppt_value",
-    "squashed_upper_bound",
+    "BoundReport", "ExtensionCmi", "analytic_cost_bound",
+    "cost_bound_from_purity", "extension_cmi", "log2_fraction",
+    "relent_lower_bound", "relent_ppt_value", "squashed_upper_bound",
 ]

@@ -224,12 +224,16 @@ def cmd_lp_dual(args):
     beta = _parse_fraction(args.beta)
     gamma = _parse_fraction(args.gamma) if args.gamma is not None else None
     point = prg.analytic_dual_point(args.n, beta, gamma)
-    rows = [_row("dual_bound_z", point.z, "value of the geometric dual point",
-                 n=args.n),
-            _flag_row("feasible", point.feasible,
-                      "all dual constraints hold exactly", n=args.n)]
-    rows += [_row(f"delta_{k}", dk, "symmetrised dual weight", n=args.n)
-             for k, dk in enumerate(point.delta)]
+    try:        # the decimals are floats; only a large gamma overflows them
+        rows = [_row("dual_bound_z", point.z,
+                     "value of the geometric dual point", n=args.n),
+                _flag_row("feasible", point.feasible,
+                          "all dual constraints hold exactly", n=args.n)]
+        rows += [_row(f"delta_{k}", dk, "symmetrised dual weight", n=args.n)
+                 for k, dk in enumerate(point.delta)]
+    except OverflowError as exc:
+        raise UsageError("--gamma is too large: the dual point's decimals "
+                         "overflow a float") from exc
     return ({"n": args.n, "beta": str(beta),
              "gamma": "" if gamma is None else str(gamma)}, rows, None)
 

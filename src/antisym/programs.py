@@ -19,15 +19,16 @@ Two forms exist:
   symmetric-square shapes with constraint matrix [[-2,1],[1,1]] and
   normalisation relaxed to <= 1.  Only valid in the limit d -> infinity.
 
-The reduced dual of the truncated programme and an analytic dual-feasible
-point (geometric weights, value (3/4)^n) are provided alongside.
+``SymLP.to_dual_lp`` transposes those rows into the reduced dual of any
+programme.  On the limit programme's dual, ``analytic_dual_point`` evaluates
+a geometric dual-feasible point (value (3/4)^n).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, prod
+from math import factorial, lcm, prod
 from typing import Iterator, NamedTuple
 
 from .linalg import _lowest_terms
@@ -119,6 +120,33 @@ class SymLP:
         c = [prod(w ** k for w, k in zip(weights, t)) for t in self.types]
         return _normalized_lp(c, weight_den ** self.n, a_ub, dens,
                               self.normalization)
+
+    def to_dual_lp(self) -> LPProblem:
+        """The reduced dual, transposed from the rows of ``to_lp``: over
+        z >= 0 and per-string row weights delta_k >= 0, one per row type k,
+
+            max -z  s.t.  -z - sum_k multinomial(k) a_kt delta_k <= -c_t
+
+        for each variable type t, where a_kt is entry t of row k and c_t the
+        objective weight.  The optimum is minus the primal optimum.  z is the
+        multiplier of the normalisation row; z >= 0 loses nothing for either
+        normalisation, as every optimum is positive.  Row t lies over the
+        objective denominator times the lcm of the column denominators.
+        """
+        lp = self.to_lp()
+        rows = lp.a_ub[:len(self.row_types)]
+        # column k: multinomial(k) / ub_den[k], one Fraction per column
+        weights = [Fraction(factorial(self.n) // prod(map(factorial, k)), den)
+                   for k, den in zip(self.row_types, lp.ub_den)]
+        common = lcm(*(w.denominator for w in weights))
+        den = common * lp.obj_den
+        scales = [-w.numerator * (common // w.denominator) * lp.obj_den
+                  for w in weights]
+        a_ub = [[-den] + [a * s for a, s in zip(column, scales)]
+                for column in zip(*rows)]
+        return LPProblem([-1] + [0] * len(rows), a_ub,
+                         [-c * common for c in lp.objective],
+                         ub_den=[den] * len(a_ub))
 
 
 def _normalized_lp(c: list[int], c_den: int, a_ub: list[list[int]],
@@ -216,45 +244,31 @@ def dual_value(bound: PurityBound) -> Fraction:
                                       strict=True)), Fraction(0))
 
 
-# -- the reduced dual of the truncated programme -------------------------------
-
-def dual_coeff(n: int, m: int, k: int) -> int:
-    """Coefficient of the k-th symmetrised dual variable in the m-th
-    symmetrised dual constraint:
-
-        sum_l (-2)^l C(m, l) C(n-m, k-l),  l from max(0, k+m-n) to min(k, m).
-
-    The same numbers are the truncated primal constraint coefficients by the
-    symmetry of the constraint matrix.
-    """
-    if not (0 <= m <= n and 0 <= k <= n):
-        raise ValueError("require 0 <= m, k <= n")
-    total = 0
-    for l in range(max(0, k + m - n), min(k, m) + 1):
-        total += (-2) ** l * comb(m, l) * comb(n - m, k - l)
-    return total
-
+# -- the reduced dual of the limit programme ----------------------------------
 
 class DualPoint(NamedTuple):
-    delta: tuple[Fraction, ...]            # symmetrised dual variables, k = 0..n
+    delta: tuple[Fraction, ...]            # per-string dual weights, k = 0..n
     z: Fraction                            # the certified bound
     feasible: bool
-    constraint_values: tuple[Fraction, ...]  # right-hand sides, m = 0..n
+    constraint_values: tuple[Fraction, ...]  # one per dual row, m = 0..n
 
 
 def analytic_dual_point(n: int, beta: Fraction = Fraction(1, 2),
                         gamma: Fraction | None = None) -> DualPoint:
-    """Geometric dual point: delta_k = gamma * beta^(n-k) for k < n, delta_n = 0.
+    """Geometric point of the limit programme's reduced dual
+    ``build_purity_bound(n).to_dual_lp()``: delta_k = gamma * beta^(n-k) for
+    k < n, delta_n = 0.
 
-    z is set to the largest symmetrised dual constraint value, so the point is
-    feasible by construction: beta, gamma >= 0 make the weights nonnegative (a
-    negative gamma is rejected, as its z would bound nothing).  With the
-    defaults beta = 1/2, gamma = 2^-n the bound is exactly (3/4)^n.  The
-    hypergeometric closed form
+    Row m of that dual reads -z + sum_k a_mk delta_k <= b_m.  Its constraint
+    value is sum_k a_mk delta_k - b_m, and z is set to the largest, so the
+    point is feasible by construction: beta, gamma >= 0 make the weights
+    nonnegative (a negative gamma is rejected, as its z would bound nothing).
+    With the defaults beta = 1/2, gamma = 2^-n the bound is exactly (3/4)^n.
+    The hypergeometric closed form of the rows
 
-        sum_k gamma beta^(n-k) coeff(n,m,k) = gamma (beta+1)^(n-m) (beta-2)^m
+        sum_k beta^(n-k) a_mk = (beta+1)^(n-m) (beta-2)^m
 
-    is re-verified on every call.
+    is re-verified in ints on every call.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -265,35 +279,22 @@ def analytic_dual_point(n: int, beta: Fraction = Fraction(1, 2),
     if gamma < 0:
         raise ValueError("gamma must satisfy gamma >= 0")
 
+    lp = build_purity_bound(n).to_dual_lp()
     delta = tuple(gamma * beta ** (n - k) for k in range(n)) + (Fraction(0),)
+    # beta^(n-k) = p^(n-k) q^k / q^n
+    p, q = beta.numerator, beta.denominator
+    powers = [p ** (n - k) * q ** k for k in range(n + 1)]
     constraint_values = []
-    for m in range(n + 1):
-        coeffs = [dual_coeff(n, m, k) for k in range(n + 1)]
-        full_sum = sum(gamma * beta ** (n - k) * coeffs[k] for k in range(n + 1))
-        if full_sum != gamma * (beta + 1) ** (n - m) * (beta - 2) ** m:
+    for m, (row, b, den) in enumerate(zip(lp.a_ub, lp.b_ub, lp.ub_den)):
+        terms = [a * w for a, w in zip(row[1:], powers, strict=True)]
+        total = sum(terms)
+        if total != den * (p + q) ** (n - m) * (p - 2 * q) ** m:
             raise ArithmeticError("geometric dual closed form failed")
-        base = Fraction((-1) ** m * 2 ** m, 2 ** n)
-        constraint_values.append(base + sum(delta[k] * coeffs[k]
-                                            for k in range(n + 1)))
+        value = gamma * Fraction(total - terms[n], q ** n * den)
+        constraint_values.append(value - Fraction(b, den))
     z = max(constraint_values)
     feasible = all(dk >= 0 for dk in delta) and z >= 0
     return DualPoint(delta, z, feasible, tuple(constraint_values))
-
-
-def build_dual(n: int) -> LPProblem:
-    """Reduced dual of the truncated programme: min z over nonnegative
-    symmetrised weights, one constraint per count of distinguished rows.
-
-    Encoded as a maximisation of -z; negate the optimum to recover the bound.
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    # rows over 2^n: -z + sum_k coeff(n,m,k) delta_k <= -(-2)^m / 2^n
-    c = [-1] + [0] * (n + 1)
-    a_ub = [[-2 ** n] + [2 ** n * dual_coeff(n, m, k) for k in range(n + 1)]
-            for m in range(n + 1)]
-    b_ub = [-(-2) ** m for m in range(n + 1)]
-    return LPProblem(c, a_ub, b_ub, ub_den=[2 ** n] * (n + 1))
 
 
 class DualBound(NamedTuple):
@@ -302,8 +303,9 @@ class DualBound(NamedTuple):
 
 
 def solve_dual(n: int) -> DualBound:
-    """Exact optimum of the reduced dual; equals the truncated primal optimum."""
-    sol = simplex_solve(build_dual(n))
+    """Exact optimum of the limit programme's reduced dual; equals the primal
+    optimum."""
+    sol = simplex_solve(build_purity_bound(n).to_dual_lp())
     if sol.status != "optimal":
         raise RuntimeError(f"dual LP unexpectedly {sol.status}")
     return DualBound(-sol.value, sol)

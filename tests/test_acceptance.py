@@ -12,13 +12,14 @@ from fractions import Fraction as F
 from antisym.bounds import (analytic_cost_bound, cost_bound_from_purity,
                             relent_lower_bound, relent_ppt_value,
                             squashed_upper_bound)
-from antisym.programs import (DINF, analytic_dual_point, build_dual,
-                              solve_dual, solve_purity_bound)
+from antisym.programs import (DINF, analytic_dual_point, solve_dual,
+                              solve_purity_bound)
 from antisym.projectors import (PairBasis, YOUNG_SHAPES, flip_matrix,
                                 invariant_projectors, overlap_closed_forms,
                                 ppt_overlap_table, present_shapes,
                                 reduced_pair_state, young_projector_element)
 from antisym.seesaw import purity_seesaw
+from antisym.simplex import simplex_solve
 from antisym.young import plethysm_check, weyl_dimension
 
 GOLDEN = {1: F(1, 2), 2: F(1, 2), 4: F(1, 4), 6: F(1, 7),
@@ -189,8 +190,9 @@ def test_criterion_10_strong_duality_everywhere():
         assert dual_objective(program.to_lp(), sol) == value, n
         dual_value, dual_sol = solve_dual(n)
         assert dual_value == value, n
-        assert dual_objective(build_dual(n), dual_sol) == -dual_value, n
+        assert dual_objective(program.to_dual_lp(), dual_sol) == -dual_value, n
     for n in range(1, 7):
         value, sol, program = solve_purity_bound(n, 3, form="full3")
         assert dual_objective(program.to_lp(), sol) == value, n
+        assert -simplex_solve(program.to_dual_lp()).value == value, n
     report(10, "primal and dual optima agree exactly on all instances")

@@ -1,13 +1,12 @@
 """Bound calculators: extension CMI, squashed/key bound, cost and relative-
-entropy bounds, continuity modulus."""
+entropy bounds."""
 
 import math
 from fractions import Fraction as F
 
 import pytest
 
-from antisym.bounds import (analytic_cost_bound, binary_entropy,
-                            continuity_bound, cost_bound_from_purity,
+from antisym.bounds import (analytic_cost_bound, cost_bound_from_purity,
                             extension_cmi, log2_fraction, relent_lower_bound,
                             relent_ppt_value, squashed_upper_bound)
 from antisym.programs import solve_purity_bound
@@ -111,32 +110,6 @@ def test_relent_ppt_reference():
     report = relent_ppt_value(4)
     assert report.exact_core == F(3, 2)
     assert abs(report.log2_value - 0.5849625007211562) < 1e-12
-
-
-def test_binary_entropy():
-    assert binary_entropy(0.0) == 0.0
-    assert binary_entropy(1.0) == 0.0
-    assert binary_entropy(0.5) == 1.0
-    assert abs(binary_entropy(0.25) - (2 - 0.75 * math.log2(3))) < 1e-14
-    with pytest.raises(ValueError):
-        binary_entropy(1.5)
-
-
-def test_continuity_bound():
-    assert continuity_bound(0.0, 7) == 0.0
-    assert continuity_bound(0.5, 2) == 3.0
-    expected = 2 * (0.25 + binary_entropy(0.25)) * 2
-    assert abs(continuity_bound(0.25, 4) - expected) < 1e-14
-    with pytest.raises(ValueError):
-        continuity_bound(-0.1, 4)
-    with pytest.raises(ValueError):
-        continuity_bound(0.1, 1)
-
-
-def test_continuity_vanishes_with_eps():
-    for eps in (1e-3, 1e-6):
-        for d in (2, 16):
-            assert continuity_bound(eps, d) / math.log2(d) < 40 * eps ** 0.5
 
 
 def test_log2_fraction_handles_huge_values():

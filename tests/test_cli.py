@@ -106,6 +106,14 @@ def test_lp_dual_rejects_negative_gamma(capsys):
         2, "", "error: gamma must satisfy gamma >= 0\n")
 
 
+@pytest.mark.parametrize("n, gamma", [("3", "1e400"), ("100", "1e300")])
+def test_lp_dual_rejects_a_gamma_whose_decimals_overflow(capsys, n, gamma):
+    # the exact point exists, but its decimal column cannot hold it
+    assert run(capsys, "lp", "dual", "--n", n, "--gamma", gamma) == (
+        2, "", "error: --gamma is too large: the dual point's decimals "
+               "overflow a float\n")
+
+
 def test_purity_rejects_negative_seed(capsys):
     assert run(capsys, "purity", "--d", "3", "--n", "1", "--seed", "-1") == (
         2, "", "error: seed must be non-negative\n")
@@ -168,6 +176,7 @@ def test_json_round_trip_and_determinism(capsys):
     (("squashed", "--d", "4"), "squashed_d4"),
     (("lp", "primal", "--n", "4", "--d", "5", "--parity", "even"),
      "lp_primal_n4_d5_even"),
+    (("lp", "dual", "--n", "20"), "lp_dual_n20"),
 ])
 @pytest.mark.parametrize("fmt, ext", [("text", "txt"), ("json", "json"),
                                       ("csv", "csv")])

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from antisym import simplex
-from antisym.programs import build_dual, build_purity_bound
+from antisym.programs import DINF, build_purity_bound
 from antisym.simplex import LPProblem, simplex_solve
 
 LIMIT_GOLDEN = {1: F(1, 2), 2: F(1, 2), 4: F(1, 4), 6: F(1, 7),
@@ -159,13 +159,27 @@ def test_full3_guided_equals_unguided(key):
         assert guided_pivots * 5 < plain_pivots
 
 
+@pytest.mark.parametrize("key", sorted(FULL3_GOLDEN))
+def test_full3_dual_optimum_is_minus_the_primal_optimum(key):
+    d, n, parity, corner = key
+    prog = build_purity_bound(n, d, parity, "full3", corner)
+    assert -simplex_solve(prog.to_dual_lp()).value == FULL3_GOLDEN[key]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_full3_limit_dual_optimum_is_minus_the_primal_optimum(n):
+    prog = build_purity_bound(n, DINF, form="full3")
+    assert (-simplex_solve(prog.to_dual_lp()).value
+            == simplex_solve(prog.to_lp()).value)
+
+
 def test_reduced_dual_guided_equals_unguided():
-    lp = build_dual(24)
+    lp = build_purity_bound(24).to_dual_lp()
     assert_same(simplex_solve(lp), unguided(lp))
 
 
 @pytest.mark.parametrize("build, golden, budget", [
-    (lambda: build_dual(48), -LIMIT_48, 60),
+    (lambda: build_purity_bound(48).to_dual_lp(), -LIMIT_48, 60),
     (lambda: build_purity_bound(48).to_lp(), LIMIT_48, 25),
     (lambda: build_purity_bound(10, 5, form="full3").to_lp(), FULL3_D5_N10,
      200),
@@ -376,7 +390,7 @@ def solved_goldens():
            "full3-d4-n4": build_purity_bound(4, 4, form="full3").to_lp(),
            "full3-d6-n8-even": build_purity_bound(8, 6, "even",
                                                   "full3").to_lp(),
-           "dual-12": build_dual(12)}
+           "dual-12": build_purity_bound(12).to_dual_lp()}
     return [(lp, simplex_solve(lp)) for _, lp in sorted(lps.items())]
 
 

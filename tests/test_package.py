@@ -5,8 +5,7 @@ import antisym
 PUBLIC = {
     "BoundReport", "DINF", "LPProblem", "LPSolution", "Rational",
     "SparseRMatrix", "analytic_cost_bound", "analytic_dual_point",
-    "build_dual", "build_purity_bound", "continuity_bound",
-    "cost_bound_from_purity", "dual_coeff", "extension_cmi",
+    "build_purity_bound", "cost_bound_from_purity", "extension_cmi",
     "invariant_projectors", "overlap_closed_forms", "plethysm_check",
     "plethysm_dimensions", "ppt_overlap_table", "purity_seesaw",
     "relent_lower_bound", "relent_ppt_value", "schur_eval", "simplex_solve",

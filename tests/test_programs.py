@@ -11,10 +11,9 @@ from hypothesis import strategies as st
 
 from antisym.linalg import _lowest_terms
 from antisym.programs import (DINF, SymLP, _normalized_lp,
-                              analytic_dual_point, build_dual,
-                              build_purity_bound, compositions, dual_coeff,
-                              dual_value, single_copy, solve_dual,
-                              solve_purity_bound)
+                              analytic_dual_point, build_purity_bound,
+                              compositions, dual_value, single_copy,
+                              solve_dual, solve_purity_bound)
 from antisym.simplex import LPProblem, simplex_solve
 
 GOLDEN = {1: F(1, 2), 2: F(1, 2), 4: F(1, 4), 6: F(1, 7),
@@ -120,6 +119,24 @@ def reference_to_lp(prog):
     return LPProblem(objective=c, a_ub=a_ub + [ones], b_ub=b_ub + [F(1)])
 
 
+def reference_to_dual_lp(prog):
+    """The reduced dual from Fraction entries, term by term: max -z over
+    -z - sum_k multinomial(k) a_kt delta_k <= -c_t, one row per type t, with
+    a_kt the entry of ``reference_to_lp``."""
+    index = {t: i for i, t in enumerate(prog.types)}
+    columns = []
+    for rt in prog.row_types:
+        column = [F(0)] * len(prog.types)
+        for t, coeff in reference_row_polynomial(prog, rt).items():
+            if t in index:
+                column[index[t]] = coeff * multinomial(rt) / multinomial(t)
+        columns.append(column)
+    return LPProblem(objective=[F(-1)] + [F(0)] * len(columns),
+                     a_ub=[[F(-1), *row] for row in zip(*columns)],
+                     b_ub=[-reference_objective_coeff(prog, t)
+                           for t in prog.types])
+
+
 @pytest.mark.parametrize("key", BENCHMARK_FULL3)
 def test_assembly_matches_reference_on_the_benchmark(key):
     d, n, parity, corner = key
@@ -167,13 +184,33 @@ def test_assembly_matches_reference_on_random_data(prog):
     lp = prog.to_lp()
     assert lp == reference_to_lp(prog)
     assert_canonical(lp)
+    dual = prog.to_dual_lp()
+    assert dual == reference_to_dual_lp(prog)
+    assert_canonical(dual)
 
 
 # -- canonical integer storage of the assembled programmes ---------------------
 
+def reference_dual_coeff(n: int, m: int, k: int) -> int:
+    """Coefficient of the k-th per-string dual weight in the m-th row of the
+    limit programme's reduced dual, as a Krawtchouk sum:
+
+        sum_l (-2)^l C(m, l) C(n-m, k-l),  l from max(0, k+m-n) to min(k, m).
+
+    The same numbers are the truncated primal constraint coefficients by the
+    symmetry of the constraint matrix.
+    """
+    if not (0 <= m <= n and 0 <= k <= n):
+        raise ValueError("require 0 <= m, k <= n")
+    return sum((-2) ** l * math.comb(m, l) * math.comb(n - m, k - l)
+               for l in range(max(0, k + m - n), min(k, m) + 1))
+
+
 def reference_build_dual(n):
-    """The reduced dual from Fraction entries, term by term."""
-    a_ub = [[F(-1)] + [F(dual_coeff(n, m, k)) for k in range(n + 1)]
+    """The limit programme's reduced dual from Fraction entries, term by
+    term: -z + sum_k coeff(n,m,k) delta_k <= -(-2)^m / 2^n."""
+    a_ub = [[F(-1)] + [F(reference_dual_coeff(n, m, k))
+                       for k in range(n + 1)]
             for m in range(n + 1)]
     b_ub = [F(-((-1) ** m * 2 ** m), 2 ** n) for m in range(n + 1)]
     return LPProblem(objective=[F(-1)] + [F(0)] * (n + 1), a_ub=a_ub,
@@ -243,15 +280,20 @@ def from_stored_rationals(lp):
      lambda: reference_to_lp(build_purity_bound(8, 6, "even", "full3"))),
     (lambda: build_purity_bound(12).to_lp(),
      lambda: reference_to_lp(build_purity_bound(12))),
-    (lambda: build_dual(1), lambda: reference_build_dual(1)),
-    (lambda: build_dual(24), lambda: reference_build_dual(24)),
+    (lambda: build_purity_bound(1).to_dual_lp(),
+     lambda: reference_build_dual(1)),
+    (lambda: build_purity_bound(24).to_dual_lp(),
+     lambda: reference_build_dual(24)),
+    (lambda: build_purity_bound(48).to_dual_lp(),
+     lambda: reference_build_dual(48)),
     (lambda: build_unreduced(3, 4), lambda: reference_build_unreduced(3, 4)),
     (lambda: build_unreduced(4), lambda: reference_build_unreduced(4)),
     (lambda: build_unreduced(2, DINF, "full3"),
      lambda: reference_build_unreduced(2, DINF, "full3")),
 ], ids=["to_lp-full3-d4", "to_lp-full3-d6-even", "to_lp-truncated2",
-        "build_dual-1", "build_dual-24", "build_unreduced-d4",
-        "build_unreduced-truncated2", "build_unreduced-full3-dinf"])
+        "to_dual_lp-1", "to_dual_lp-24", "to_dual_lp-48",
+        "build_unreduced-d4", "build_unreduced-truncated2",
+        "build_unreduced-full3-dinf"])
 def test_int_storage_is_canonical_and_matches_the_fraction_constructor(
         build, reference):
     lp = build()
@@ -400,7 +442,7 @@ def test_tail_substitution_preserves_feasibility_and_value():
     for m in range(n + 1):
         total = F(0)
         for t, mass in masses2.items():
-            total += dual_coeff(n, m, t[0]) * mass / multinomial(t)
+            total += reference_dual_coeff(n, m, t[0]) * mass / multinomial(t)
         assert total >= 0
 
 
@@ -438,24 +480,44 @@ def test_corner_variant_effect():
 # -- dual side ------------------------------------------------------------------
 
 def test_dual_coeff_examples():
-    assert dual_coeff(2, 1, 1) == -1
-    assert dual_coeff(5, 2, 0) == 1
+    assert reference_dual_coeff(2, 1, 1) == -1
+    assert reference_dual_coeff(5, 2, 0) == 1
     for n in range(6):
         for k in range(n + 1):
-            assert dual_coeff(n, 0, k) == math.comb(n, k)
+            assert reference_dual_coeff(n, 0, k) == math.comb(n, k)
 
 
 @given(st.integers(min_value=0, max_value=8), st.data())
 @settings(max_examples=40, deadline=None)
 def test_dual_coeff_generating_function(n, data):
-    # dual_coeff(n, m, k) is the x^k coefficient of (1-2x)^m (1+x)^(n-m)
+    # coeff(n, m, k) is the x^k coefficient of (1-2x)^m (1+x)^(n-m)
     m = data.draw(st.integers(min_value=0, max_value=n))
     poly = [F(1)]
     for _ in range(m):
         poly = [a - 2 * b for a, b in zip(poly + [F(0)], [F(0)] + poly)]
     for _ in range(n - m):
         poly = [a + b for a, b in zip(poly + [F(0)], [F(0)] + poly)]
-    assert poly == [dual_coeff(n, m, k) for k in range(n + 1)]
+    assert poly == [reference_dual_coeff(n, m, k) for k in range(n + 1)]
+
+
+def test_limit_dual_matches_the_krawtchouk_reference():
+    for n in range(1, 49):
+        assert build_purity_bound(n).to_dual_lp() == reference_build_dual(n), n
+
+
+def test_analytic_dual_point_rejects_a_corrupted_row(monkeypatch):
+    to_dual_lp = SymLP.to_dual_lp
+
+    def corrupted(prog):
+        lp = to_dual_lp(prog)
+        lp.a_ub[2][3] += 1
+        return lp
+
+    analytic_dual_point(4)
+    monkeypatch.setattr(SymLP, "to_dual_lp", corrupted)
+    for gamma in (None, F(0)):
+        with pytest.raises(ArithmeticError, match="closed form failed"):
+            analytic_dual_point(4, gamma=gamma)
 
 
 def test_analytic_dual_defaults():
