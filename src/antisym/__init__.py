@@ -14,8 +14,7 @@ from .linalg import Rational, SparseRMatrix
 from .programs import (DINF, analytic_dual_point, build_purity_bound,
                        solve_dual, solve_purity_bound)
 from .projectors import (invariant_projectors, overlap_closed_forms,
-                         ppt_overlap_table, symbolic_overlap_table,
-                         young_state)
+                         ppt_overlap_table, symbolic_overlap_table)
 from .seesaw import purity_seesaw
 from .simplex import LPProblem, LPSolution, simplex_solve
 from .young import (plethysm_check, plethysm_dimensions, schur_eval,
@@ -29,7 +28,7 @@ __all__ = [
     "plethysm_dimensions", "ppt_overlap_table", "purity_seesaw",
     "relent_lower_bound", "relent_ppt_value", "schur_eval", "simplex_solve",
     "solve_dual", "solve_purity_bound", "squashed_upper_bound", "ssyt_count",
-    "symbolic_overlap_table", "weyl_dimension", "young_state",
+    "symbolic_overlap_table", "weyl_dimension",
 ]
 
 __version__ = "0.1.0"

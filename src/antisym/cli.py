@@ -348,7 +348,7 @@ def _verification_checks(d: int, level: str):
     if level != "full":
         return
 
-    basis = prj.PairBasis(d)
+    basis = prj.pair_basis(d)
 
     def projector_matrices_ok():
         for s in prj.YOUNG_SHAPES:

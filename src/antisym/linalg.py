@@ -5,13 +5,11 @@ numerators over one int denominator, and scalars such as traces come back as
 ``fractions.Fraction``.  No floating point ever enters these types.
 
 ``SparseRMatrix`` is the one exact matrix type.  It holds the operators on
-the full tensor-power space (C^d)^{x4}: permutation operators and their
-rational combinations, with at most 24 d^4 nonzeros among d^8 entries, and
-their partial traces and transposes.  It also holds the small ones: operators
-restricted to the pair subspace (m^2 x m^2, about 1% nonzero at d = 7) and
-reduced two-factor states (d^2 x d^2).  A matrix is only its dimension,
-numerators and denominator: the partial trace and transpose take the tensor
-factor dimensions from their caller, who knows the split.
+the pair subspace wedge2 x wedge2 of (C^d)^{x4} (m^2 x m^2, about 1% nonzero
+at d = 7), the reduced two-factor states (d^2 x d^2) and the few full-space
+operators on (C^d)^{x4} that are restricted to that subspace.  A matrix is only
+its dimension, numerators and denominator: the partial transpose takes the
+tensor factor dimensions from its caller, who knows the split.
 """
 
 from __future__ import annotations
@@ -161,32 +159,6 @@ class SparseRMatrix:
         if any(k < 0 or k >= len(dims) for k in indices):
             raise ShapeError(f"factor indices {indices} out of range for {dims}")
         return dims, indices
-
-    def partial_trace(self, dims: Sequence[int], keep: Iterable[int]
-                      ) -> "SparseRMatrix":
-        """Trace out all tensor factors not in ``keep`` (0-based indices) of
-        the split into factors of dimensions ``dims``.
-
-        Only stored entries are visited: an entry contributes when its row
-        and column agree on every traced factor.
-        """
-        dims, keep = self._factors(dims, keep)
-        drop = [k for k in range(len(dims)) if k not in keep]
-        kdims = tuple(dims[k] for k in keep)
-        # each index in use -> (its digits on the traced factors, its index
-        # on the kept ones)
-        split: dict[int, tuple[tuple[int, ...], int]] = {}
-        for index in {i for key in self.nums for i in key}:
-            digits = _digits(index, dims)
-            split[index] = (tuple(digits[k] for k in drop),
-                            _from_digits([digits[k] for k in keep], kdims))
-        out: dict[tuple[int, int], int] = {}
-        for (r, c), v in self.nums.items():
-            rdrop, rr = split[r]
-            cdrop, cc = split[c]
-            if rdrop == cdrop:
-                out[(rr, cc)] = out.get((rr, cc), 0) + v
-        return SparseRMatrix(prod(kdims), out, self.den)
 
     def partial_transpose(self, dims: Sequence[int], flip: Iterable[int]
                           ) -> "SparseRMatrix":

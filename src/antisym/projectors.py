@@ -9,8 +9,8 @@ those two factors.
 
 Group-algebra elements are stored as ``SparseRMatrix`` is: int numerators
 over one int denominator, in lowest terms.  Sums, convolution products,
-adjoints, traces and operators run in ints; only the traces come back as
-``Fraction``s.
+adjoints, traces and pair-subspace restrictions run in ints; only the
+traces come back as ``Fraction``s.
 
 Each quantity has one route here.  Two kinds of route exist, and the
 ``verify rep`` battery checks one against the other:
@@ -19,23 +19,25 @@ Each quantity has one route here.  Two kinds of route exist, and the
   permutation operator on (C^d)^{x4} is d to the number of cycles):
   ``flip_overlaps``, ``pair_flip_signs`` and ``symbolic_overlap_table``;
 * explicit exact matrices, all ``SparseRMatrix`` (int numerators over one
-  int denominator): ``young_state``, ``reduced_pair_state``,
-  ``invariant_projectors`` and ``ppt_overlap_table``.  Full-space operators
-  have at most 24 d^4 nonzeros (one group-algebra element, its numerators
-  summed in ints over its denominator); the reduced two-factor
-  states are their partial traces.  Products and idempotence are checked on
-  the pair subspace wedge2 x wedge2, where all operators of interest are
-  supported, as m^2 x m^2 matrices.  The restriction is an algebra
-  isomorphism onto that subspace, so products, idempotence and traces
-  proven there hold for the full-space operators.
+  int denominator), built on the pair subspace wedge2 x wedge2, where all
+  operators of interest are supported, as m^2 x m^2 matrices:
+  ``PairBasis.restricted_element``, ``reduced_pair_state``,
+  ``invariant_projectors`` and ``ppt_overlap_table``.  A group-algebra
+  element restricts to one combination of three blocks, one per double
+  coset of H = <(12),(34)> in S4, each enumerated once per dimension from
+  the four signed computational terms of every basis vector; the reduced
+  two-factor states are traced from the same terms, and no d^4 x d^4
+  operator of a group-algebra element is ever formed.  The restriction is
+  an algebra isomorphism onto that subspace, so products, idempotence and
+  traces proven there hold for the full-space operators.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
-from itertools import combinations, permutations, product
+from functools import cached_property, lru_cache
+from itertools import combinations, permutations
 
 from .linalg import (RationalLike, ShapeError, SparseRMatrix, _frac,
                      _lowest_terms)
@@ -190,34 +192,12 @@ class GroupAlgebraElement:
         return Fraction(sum(v * d ** (p * perm).cycle_count()
                             for p, v in self.nums.items()), self.den)
 
-    def to_operator(self, d: int) -> SparseRMatrix:
-        """Sparse operator on (C^d)^{x4}: the numerators summed as integers
-        over the element's denominator."""
-        sums: dict[tuple[int, int], int] = {}
-        for p, v in self.nums.items():
-            for key in _perm_pairs(p.images, d):
-                sums[key] = sums.get(key, 0) + v
-        return SparseRMatrix(d ** 4, sums, self.den)
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, GroupAlgebraElement)
                 and self.den == other.den and self.nums == other.nums)
 
     def __repr__(self) -> str:
         return f"GroupAlgebraElement({len(self.nums)} terms)"
-
-
-@lru_cache(maxsize=None)
-def _perm_pairs(images: tuple[int, int, int, int], d: int
-                ) -> tuple[tuple[int, int], ...]:
-    """The (row, col) positions of the ones of the operator sending slot k's
-    content to slot images[k]."""
-    # column digits run in lexicographic order; slot k's digit lands in
-    # slot images[k] of the row, whose place value is d^(4 - images[k])
-    w0, w1, w2, w3 = (d ** (4 - i) for i in images)
-    return tuple(zip((a * w0 + b * w1 + x * w2 + y * w3
-                      for a, b, x, y in product(range(d), repeat=4)),
-                     range(d ** 4)))
 
 
 # -- Young projectors --------------------------------------------------------
@@ -270,20 +250,31 @@ def young_state_element(shape: Partition, d: int) -> GroupAlgebraElement:
     return young_projector_element(shape).scale(Fraction(1, dim))
 
 
-def young_state(shape: Partition, d: int) -> SparseRMatrix:
-    """Normalised Young projector (trace one) as a sparse operator on
-    (C^d)^{x4}."""
-    if d < 3:
-        raise ValueError("d must be at least 3")
-    return young_state_element(shape, d).to_operator(d)
-
-
 def present_shapes(d: int) -> tuple[Partition, ...]:
     """The Young shapes whose component is nonzero at this dimension."""
     return tuple(s for s in YOUNG_SHAPES if weyl_dimension(s, d) > 0)
 
 
 # -- the pair-subspace restriction -------------------------------------------
+
+# H = <(12), (34)> with its character chi, -1 on (12) and on (34): the pair
+# basis B below satisfies U_h B = chi(h) B, so the restriction R(X) =
+# (1/4) B^T X B obeys R(U_{h q h'}) = chi(h) chi(h') R(U_q)
+_H = ((Perm4.identity(), 1), (Perm4.from_cycles((1, 2)), -1),
+      (Perm4.from_cycles((3, 4)), -1), (Perm4.from_cycles((1, 2), (3, 4)), 1))
+
+# one representative q of each H-double coset: H (4 permutations),
+# H(13)(24)H (4) and H(23)H (16)
+COSET_REPS = (Perm4.identity(), Perm4.from_cycles((1, 3), (2, 4)),
+              Perm4.from_cycles((2, 3)))
+
+
+@lru_cache(maxsize=None)
+def coset_table() -> dict[Perm4, tuple[int, int]]:
+    """Each p = h q h' of S4 as (k, chi(h) chi(h')), with q = COSET_REPS[k]."""
+    return {h * q * g: (k, s * t) for k, q in enumerate(COSET_REPS)
+            for h, s in _H for g, t in _H}
+
 
 class PairBasis:
     """Orthogonal basis of wedge2(C^d) x wedge2(C^d) inside (C^d)^{x4}.
@@ -292,7 +283,7 @@ class PairBasis:
     4); the restriction map X -> (1/4) B^T X B is an algebra isomorphism on
     operators supported on the subspace, preserves traces, and intertwines the
     partial transpose of factors {2,3} with the partial transpose of the
-    second pair factor.
+    second pair factor.  The tables below are built on first use.
     """
 
     def __init__(self, d: int):
@@ -302,22 +293,49 @@ class PairBasis:
         self.pairs = list(combinations(range(d), 2))
         self.m = len(self.pairs)
 
+    @cached_property
+    def terms(self) -> list[tuple[tuple[int, int, int, int, int], ...]]:
+        """The four signed computational terms (a, b, a', b', sign) of each
+        basis vector, in basis order."""
+        return [((i, j, k, l, 1), (j, i, k, l, -1), (i, j, l, k, -1),
+                 (j, i, l, k, 1))
+                for i, j in self.pairs for k, l in self.pairs]
+
+    @cached_property
+    def index(self) -> list[tuple[int, int] | None]:
+        """(basis index, sign) of |a b a' b'> at index ((a d + b) d + a') d
+        + b'; None off the pair subspace."""
+        d = self.d
+        index: list[tuple[int, int] | None] = [None] * d ** 4
+        for c, terms in enumerate(self.terms):
+            for a, b, x, y, s in terms:
+                index[((a * d + b) * d + x) * d + y] = (c, s)
+        return index
+
+    @cached_property
+    def coset_blocks(self) -> tuple[dict[tuple[int, int], int], ...]:
+        """4 R(U_q) as int numerators for each q in ``COSET_REPS``: entry
+        (r, c) sums the signs of the terms of b_c that U_q sends onto b_r."""
+        d, index = self.d, self.index
+        blocks = []
+        for q in COSET_REPS:
+            w0, w1, w2, w3 = (d ** (4 - i) for i in q.images)
+            out: dict[tuple[int, int], int] = {}
+            for c, terms in enumerate(self.terms):
+                for a, b, x, y, s in terms:
+                    hit = index[a * w0 + b * w1 + x * w2 + y * w3]
+                    if hit is not None:
+                        key = (hit[0], c)
+                        out[key] = out.get(key, 0) + s * hit[1]
+            blocks.append(out)
+        return tuple(blocks)
+
     def restrict(self, op: SparseRMatrix) -> SparseRMatrix:
         """Exact restriction of a 4-factor operator to the pair subspace."""
         d = self.d
         if op.n != d ** 4:
             raise ShapeError("operator does not live on (C^d)^{x4}")
-        m = self.m
-        # (pair index, sign) of |ab> in the pair basis, at index a*d + b;
-        # None where a == b, which the pair subspace does not meet
-        project: list[tuple[int, int] | None] = [None] * (d * d)
-        for i, (a, b) in enumerate(self.pairs):
-            project[a * d + b] = (i, 1)
-            project[b * d + a] = (i, -1)
-        # (basis index, sign) of |ab a'b'> at index (a*d + b)*d^2 + a'*d + b'
-        index = [None if p is None or q is None
-                 else (p[0] * m + q[0], p[1] * q[1])
-                 for p in project for q in project]
+        index = self.index
         out: dict[tuple[int, int], int] = {}
         for (r, c), v in op.nums.items():
             row = index[r]
@@ -328,15 +346,46 @@ class PairBasis:
                 continue
             key = (row[0], col[0])
             out[key] = out.get(key, 0) + (v if row[1] == col[1] else -v)
-        return SparseRMatrix(m * m, out, op.den * 4)
+        return SparseRMatrix(self.m ** 2, out, op.den * 4)
+
+    def restricted_element(self, elem: GroupAlgebraElement) -> SparseRMatrix:
+        """R(U_elem) = alpha I + beta R(U_(13)(24)) + gamma R(U_(23)): the
+        numerators of ``elem`` collect into one coefficient per H-double
+        coset, signed by ``coset_table``."""
+        coeffs = [0] * len(COSET_REPS)
+        table = coset_table()
+        for p, v in elem.nums.items():
+            k, s = table[p]
+            coeffs[k] += s * v
+        out: dict[tuple[int, int], int] = {}
+        for coeff, block in zip(coeffs, self.coset_blocks):
+            if coeff:
+                for key, v in block.items():
+                    out[key] = out.get(key, 0) + coeff * v
+        return SparseRMatrix(self.m ** 2, out, elem.den * 4)
+
+    def reduce(self, rho: SparseRMatrix) -> SparseRMatrix:
+        """tr_{BB'} of the operator (1/4) B rho B^T, whose restriction is
+        ``rho``, as a d^2 x d^2 operator on A x A'.  A term of b_r and one of
+        b_c meet in the trace when they agree on B and B'; each basis vector
+        has one term per (b, b')."""
+        d = self.d
+        traced = [{(b, y): (a * d + x, s) for a, b, x, y, s in terms}
+                  for terms in self.terms]
+        out: dict[tuple[int, int], int] = {}
+        for (r, c), v in rho.nums.items():
+            col = traced[c]
+            for key, (i, s) in traced[r].items():
+                hit = col.get(key)
+                if hit is not None:
+                    j, t = hit
+                    out[i, j] = out.get((i, j), 0) + (v if s == t else -v)
+        return SparseRMatrix(d * d, out, rho.den * 4)
 
     # compressed building blocks ------------------------------------------
 
     def identity(self) -> SparseRMatrix:
         return SparseRMatrix.identity(self.m ** 2)
-
-    def restricted_element(self, elem: GroupAlgebraElement) -> SparseRMatrix:
-        return self.restrict(elem.to_operator(self.d))
 
     def restricted_phi_phi(self) -> SparseRMatrix:
         """Restriction of Phi_{AA'} x Phi_{BB'} (maximally entangled pairs)."""
@@ -365,6 +414,13 @@ class PairBasis:
         return self.restrict(SparseRMatrix(d ** 4, data, d))
 
 
+@lru_cache(maxsize=None)
+def pair_basis(d: int) -> PairBasis:
+    """The ``PairBasis`` of dimension d, shared so that its tables are
+    enumerated once per dimension."""
+    return PairBasis(d)
+
+
 # -- the three invariant projectors across the AB:A'B' cut --------------------
 
 def invariant_projectors(d: int) -> tuple[SparseRMatrix, ...]:
@@ -383,7 +439,7 @@ def invariant_projectors(d: int) -> tuple[SparseRMatrix, ...]:
     if d < 3:
         raise ValueError("d must be at least 3 (the tail component is "
                          "degenerate below that)")
-    basis = PairBasis(d)
+    basis = pair_basis(d)
     phi_phi = basis.restricted_phi_phi()
     one_phi = basis.restricted_one_phi()
     bell = phi_phi.scale(Fraction(2 * d, d - 1))
@@ -424,8 +480,12 @@ def flip_matrix(d: int) -> SparseRMatrix:
 
 
 def reduced_pair_state(shape: Partition, d: int) -> SparseRMatrix:
-    """Exact reduction tr_{BB'} rho_y, a Werner state on A x A' (d^2 x d^2)."""
-    return young_state(shape, d).partial_trace((d,) * 4, (0, 2))
+    """Exact reduction tr_{BB'} rho_y, a Werner state on A x A' (d^2 x d^2),
+    from the restricted state."""
+    if d < 3:
+        raise ValueError("d must be at least 3")
+    basis = pair_basis(d)
+    return basis.reduce(basis.restricted_element(young_state_element(shape, d)))
 
 
 def werner_mixture(p: Fraction, d: int) -> SparseRMatrix:
@@ -474,7 +534,7 @@ def ppt_overlap_table(d: int) -> Rows:
     """
     if d < 3:
         raise ValueError("d must be at least 3")
-    basis = PairBasis(d)
+    basis = pair_basis(d)
     bell, adjoint, tail = invariant_projectors(d)
     half_adjoint = adjoint.scale(Fraction(1, 2))
     ops = (bell, half_adjoint, tail + half_adjoint)

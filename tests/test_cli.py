@@ -177,6 +177,8 @@ def test_json_round_trip_and_determinism(capsys):
     (("lp", "primal", "--n", "4", "--d", "5", "--parity", "even"),
      "lp_primal_n4_d5_even"),
     (("lp", "dual", "--n", "20"), "lp_dual_n20"),
+    (("verify", "rep", "--d", "3", "--level", "full"), "verify_rep_d3_full"),
+    (("verify", "rep", "--d", "5", "--level", "full"), "verify_rep_d5_full"),
 ])
 @pytest.mark.parametrize("fmt, ext", [("text", "txt"), ("json", "json"),
                                       ("csv", "csv")])
@@ -314,6 +316,30 @@ def test_verify_rep_catches_one_wrong_group_algebra_numerator(capsys,
     rows = {r["quantity"]: r for r in json.loads(out)["results"]}
     assert rows["projector_group_algebra"]["exact"] == {"num": "0", "den": "1"}
     assert rows["plethysm_characters"]["exact"] == {"num": "1", "den": "1"}
+
+
+@pytest.mark.parametrize("coset", [0, 1, 2])
+def test_verify_rep_catches_one_wrong_coset_sign(capsys, monkeypatch, coset):
+    from antisym import cli
+    from antisym.projectors import COSET_REPS, Perm4
+
+    # (12) q (34) lies in the double coset of q; give it the wrong sign
+    perm = (Perm4.from_cycles((1, 2)) * COSET_REPS[coset]
+            * Perm4.from_cycles((3, 4)))
+    table = dict(cli.prj.coset_table())
+    k, sign = table[perm]
+    assert k == coset
+    table[perm] = (k, -sign)
+    monkeypatch.setattr(cli.prj, "coset_table", lambda: table)
+    code, out, err = run(capsys, "verify", "rep", "--d", "4", "--level",
+                         "full", "--format", "json")
+    assert code == cli.EXIT_VERIFY == 1
+    assert err == "verification failed: projector matrices (restricted)\n"
+    rows = {r["quantity"]: r["exact"]["num"]
+            for r in json.loads(out)["results"]}
+    assert {name for name, num in rows.items() if num == "0"} == {
+        "projector_matrices_(restricted)", "reduced_pair_states",
+        "transpose_overlaps_(matrix)"}
 
 
 def test_verify_rep_range(capsys):

@@ -1,6 +1,10 @@
-"""Every module of the package uses every name it imports."""
+"""Every module of the package uses every name it imports, and importing
+it builds no lazily computed table."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -18,3 +22,17 @@ def test_no_unused_imports(name):
                 for a in node.names}
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used) == []
+
+
+def test_importing_the_cli_builds_no_table():
+    # the caches fill on first use, so a command that never needs them
+    # (and the interpreter start-up of every command) does not pay for them
+    script = ("import antisym.cli\n"
+              "from antisym import projectors as p\n"
+              "print([f.cache_info().currsize for f in (\n"
+              "    p.coset_table, p.pair_basis, p.young_projector_element,\n"
+              "    p.pair_projector_element)])\n")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[0, 0, 0, 0]\n"

@@ -10,7 +10,7 @@ PUBLIC = {
     "plethysm_dimensions", "ppt_overlap_table", "purity_seesaw",
     "relent_lower_bound", "relent_ppt_value", "schur_eval", "simplex_solve",
     "solve_dual", "solve_purity_bound", "squashed_upper_bound", "ssyt_count",
-    "symbolic_overlap_table", "weyl_dimension", "young_state",
+    "symbolic_overlap_table", "weyl_dimension",
 }
 
 

@@ -9,17 +9,19 @@ from hypothesis import strategies as st
 
 from antisym import cli
 from antisym.linalg import SparseRMatrix
-from antisym.projectors import (DINF, S4, GroupAlgebraElement, PairBasis,
-                                Perm4, YOUNG_SHAPES, constraint_columns,
-                                flip_matrix, flip_overlaps,
-                                invariant_projectors, overlap_closed_forms,
+from antisym.projectors import (COSET_REPS, DINF, S4, GroupAlgebraElement,
+                                PairBasis, Perm4, YOUNG_SHAPES, coset_table,
+                                constraint_columns, flip_matrix,
+                                flip_overlaps, invariant_projectors,
+                                overlap_closed_forms, pair_basis,
                                 pair_flip_signs, pair_projector_element,
                                 ppt_overlap_table,
                                 present_shapes, reduced_pair_state,
                                 symbolic_overlap_table, werner_mixture,
-                                young_projector_element, young_state,
-                                young_state_element)
+                                young_projector_element, young_state_element)
 from antisym.young import weyl_dimension
+from full_space import (partial_trace, reference_to_operator,
+                        reference_young_state)
 
 B4 = (1, 1, 1, 1)
 SQ = (2, 2)
@@ -28,12 +30,12 @@ TAIL = (2, 1, 1)
 
 def perm_operator(perm, d):
     """The operator permuting the tensor factors of (C^d)^{x4} by ``perm``."""
-    return GroupAlgebraElement.of(perm).to_operator(d)
+    return reference_to_operator(GroupAlgebraElement.of(perm), d)
 
 
 def projector_operator(shape, d):
     """The Young projector on (C^d)^{x4} as a sparse operator."""
-    return young_projector_element(shape).to_operator(d)
+    return reference_to_operator(young_projector_element(shape), d)
 
 
 # -- permutations and their operators -----------------------------------------
@@ -110,7 +112,7 @@ def test_projector_traces_match_dimensions():
                 == (d * (d - 1) // 2) ** 2)
     # the antisymmetriser vanishes at d = 3, by either route
     elem = young_projector_element(B4)
-    assert elem.trace_in_dimension(3) == elem.to_operator(3).trace() == 0
+    assert elem.trace_in_dimension(3) == projector_operator(B4, 3).trace() == 0
 
 
 def test_dense_projectors_idempotent_at_d3():
@@ -128,10 +130,14 @@ def test_trace_of_tail_projector_example():
 
 
 def test_young_state_normalisation_and_errors():
-    assert young_state(SQ, 5).trace() == 1
-    assert young_state(TAIL, 3) == projector_operator(TAIL, 3).scale(F(1, 3))
-    with pytest.raises(ValueError):
-        young_state(B4, 3)
+    assert reference_young_state(SQ, 5).trace() == 1
+    assert (reference_young_state(TAIL, 3)
+            == projector_operator(TAIL, 3).scale(F(1, 3)))
+    for shape, d in ((B4, 3), (SQ, 2)):
+        with pytest.raises(ValueError):
+            reference_young_state(shape, d)
+        with pytest.raises(ValueError):
+            reduced_pair_state(shape, d)
 
 
 def _reference_operator(elem: GroupAlgebraElement, d: int) -> SparseRMatrix:
@@ -155,24 +161,25 @@ group_elements = fraction_coeffs.map(GroupAlgebraElement)
        st.sampled_from((2, 3)))
 @settings(max_examples=60, deadline=None, derandomize=True)
 def test_to_operator_matches_term_by_term_sum(elem, a, d):
-    op = elem.to_operator(d)
+    op = reference_to_operator(elem, d)
     assert op == _reference_operator(elem, d)
     assert op.n == d ** 4
     assert all(v != 0 for v in op.nums.values())
     # the antisymmetriser of four factors vanishes for d < 4, so adding any
     # multiple of it cancels entry by entry and leaves the operator unchanged
-    shifted = (elem + young_projector_element(B4).scale(a)).to_operator(d)
+    shifted = reference_to_operator(
+        elem + young_projector_element(B4).scale(a), d)
     assert shifted == op
     assert all(v != 0 for v in shifted.nums.values())
 
 
 def test_to_operator_of_cancelling_elements_stores_no_zero():
-    assert young_projector_element(B4).to_operator(3).nums == {}
-    assert GroupAlgebraElement().to_operator(3).is_zero()
+    assert projector_operator(B4, 3).nums == {}
+    assert reference_to_operator(GroupAlgebraElement(), 3).is_zero()
     e = GroupAlgebraElement.unit()
     t = GroupAlgebraElement.of(Perm4.from_cycles((1, 2)))
     # (e - t)(e + t) = e - t^2 = 0 in the group algebra already
-    assert ((e - t) * (e + t)).to_operator(3).is_zero()
+    assert reference_to_operator((e - t) * (e + t), 3).is_zero()
 
 
 def reference_product(a: dict, b: dict) -> dict:
@@ -220,14 +227,14 @@ def test_int_products_that_cancel_are_zero(a, t):
 @given(group_elements, st.sampled_from(S4), st.sampled_from((3, 4, 5)))
 @settings(max_examples=15, deadline=None, derandomize=True)
 def test_traces_match_the_operator_route(elem, perm, d):
-    op = elem.to_operator(d)
+    op = reference_to_operator(elem, d)
     assert elem.trace_in_dimension(d) == op.trace()
     assert elem.trace_with(perm, d) == op.trace_product(perm_operator(perm, d))
 
 
 def test_full_space_operators_are_sparse():
     assert isinstance(projector_operator(SQ, 3), SparseRMatrix)
-    assert isinstance(young_state(SQ, 3), SparseRMatrix)
+    assert isinstance(reference_young_state(SQ, 3), SparseRMatrix)
     basis = PairBasis(3)
     small = basis.restricted_element(young_projector_element(SQ))
     assert isinstance(small, SparseRMatrix)
@@ -235,9 +242,10 @@ def test_full_space_operators_are_sparse():
 
 
 def test_full_verification_builds_no_dense_full_space_matrix(monkeypatch):
-    # a group-algebra element has at most 24 d^4 of the d^8 entries on the
-    # full space, and m^4 < 24 d^4 bounds every pair-subspace matrix; every
-    # matrix, built directly or by an operation, passes through __init__
+    # group-algebra elements are built on the pair subspace (m^2 x m^2);
+    # the only full-space matrices are the d^4 ones of the maximally
+    # entangled pairs, and every matrix, built directly or by an operation,
+    # passes through __init__
     d = 5
     stored = []
     init = SparseRMatrix.__init__
@@ -250,10 +258,66 @@ def test_full_verification_builds_no_dense_full_space_matrix(monkeypatch):
     for name, check in cli._verification_checks(d, "full"):
         assert check(), name
     assert max(n for n, _ in stored) == d ** 4
-    assert max(nnz for _, nnz in stored) <= 24 * d ** 4
+    assert max(nnz for _, nnz in stored) <= d ** 4
     # the spy saw the full-space, pair-subspace and reduced matrices
     m = d * (d - 1) // 2
     assert {d ** 4, m * m, d * d} <= {n for n, _ in stored}
+
+
+# -- the double-coset route against the full-space reference -------------------
+
+H = {Perm4.identity(): 1, Perm4.from_cycles((1, 2)): -1,
+     Perm4.from_cycles((3, 4)): -1, Perm4.from_cycles((1, 2), (3, 4)): 1}
+
+
+def test_coset_table_covers_s4_once_with_consistent_signs():
+    table = coset_table()
+    assert set(table) == set(S4)
+    cosets = [{p for p, (k, _) in table.items() if k == i} for i in range(3)]
+    assert [len(c) for c in cosets] == [4, 4, 16]
+    for k, q in enumerate(COSET_REPS):
+        # every way of writing p = h q h' gives the same sign
+        for h, s in H.items():
+            for g, t in H.items():
+                assert table[h * q * g] == (k, s * t)
+    # a sign that differs from the restriction's would show here: U_h b =
+    # chi(h) b for every pair basis vector b
+    basis = PairBasis(3)
+    for p, (k, s) in table.items():
+        assert (basis.restricted_element(GroupAlgebraElement.of(p))
+                == basis.restricted_element(
+                    GroupAlgebraElement.of(COSET_REPS[k])).scale(s))
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 6])
+def test_restricted_permutations_match_the_full_space(d):
+    basis = PairBasis(d)
+    for p in S4:
+        elem = GroupAlgebraElement.of(p)
+        assert (basis.restricted_element(elem)
+                == basis.restrict(reference_to_operator(elem, d))), p
+
+
+integer_elements = st.builds(
+    GroupAlgebraElement,
+    st.dictionaries(st.sampled_from(S4), st.integers(-6, 6), max_size=24),
+    st.integers(1, 12))
+
+
+@given(integer_elements, st.sampled_from((3, 4, 5, 6)))
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_restricted_elements_match_the_full_space(elem, d):
+    basis = pair_basis(d)
+    got = basis.restricted_element(elem)
+    assert got == basis.restrict(reference_to_operator(elem, d))
+    assert all(got.nums.values())
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 6, 7])
+def test_reduced_pair_states_match_the_full_space(d):
+    for s in present_shapes(d):
+        full = partial_trace(reference_young_state(s, d), (d,) * 4, (0, 2))
+        assert reduced_pair_state(s, d) == full, s
 
 
 def test_restriction_is_multiplicative():
@@ -261,19 +325,20 @@ def test_restriction_is_multiplicative():
     basis = PairBasis(d)
     x = young_projector_element(SQ) + pair_projector_element().scale(F(2, 7))
     y = young_projector_element(TAIL) - young_projector_element(SQ).scale(3)
-    lhs = basis.restrict((x * y).to_operator(d))
-    rhs = basis.restrict(x.to_operator(d)) @ basis.restrict(y.to_operator(d))
-    assert lhs == rhs
+    lhs = basis.restrict(reference_to_operator(x * y, d))
+    rhs = (basis.restrict(reference_to_operator(x, d))
+           @ basis.restrict(reference_to_operator(y, d)))
+    assert lhs == rhs == basis.restricted_element(x * y)
     # traces survive the restriction
-    assert basis.restrict(x.to_operator(d)).trace() == x.trace_in_dimension(d)
-    assert basis.restrict(
-        pair_projector_element().to_operator(d)) == basis.identity()
+    assert basis.restricted_element(x).trace() == x.trace_in_dimension(d)
+    assert basis.restricted_element(pair_projector_element()) == \
+        basis.identity()
 
 
 def test_restricted_transpose_matches_full_transpose():
     for d in (3, 4):
         basis = PairBasis(d)
-        rho = young_state_element(SQ, d).to_operator(d)
+        rho = reference_young_state(SQ, d)
         full = basis.restrict(rho.partial_transpose((d,) * 4, (2, 3)))
         small = basis.restrict(rho).partial_transpose((basis.m,) * 2, (1,))
         assert full == small
@@ -317,7 +382,7 @@ def test_pair_flip_signs():
         got = pair_flip_signs(d)
         assert got == {s: expected[s] for s in present_shapes(d)}
         both = perm_operator(Perm4.from_cycles((1, 3), (2, 4)), d)
-        assert got == {s: (young_state(s, d) @ both).trace()
+        assert got == {s: (reference_young_state(s, d) @ both).trace()
                        for s in present_shapes(d)}
 
 
