@@ -1,6 +1,6 @@
 """Exact entanglement bounds for the d x d antisymmetric state.
 
-Subpackages: exact rational linear algebra (``linalg``), partitions and Schur
+Modules: exact rational linear algebra (``linalg``), partitions and Schur
 polynomials (``young``), explicit four-factor operators (``projectors``),
 the exact simplex and symmetry-reduced programmes (``simplex``,
 ``programs``), bound calculators and the floating see-saw oracle

@@ -6,17 +6,17 @@ numerators over one int denominator, and scalars such as traces come back as
 
 ``SparseRMatrix`` is the one exact matrix type.  It holds the operators on
 the pair subspace wedge2 x wedge2 of (C^d)^{x4} (m^2 x m^2, about 1% nonzero
-at d = 7), the reduced two-factor states (d^2 x d^2) and the few full-space
-operators on (C^d)^{x4} that are restricted to that subspace.  A matrix is only
+at d = 7) and the reduced two-factor states (d^2 x d^2).  A matrix is only
 its dimension, numerators and denominator: the partial transpose takes the
-tensor factor dimensions from its caller, who knows the split.
+dimension of the transposed second factor from its caller, who knows the
+split.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm, prod
-from typing import Iterable, Sequence, Union
+from math import gcd, lcm
+from typing import Union
 
 Rational = Fraction
 
@@ -42,21 +42,6 @@ def _lowest_terms(values: list, den: int = 1) -> tuple[list[int], int]:
     nums = [v.numerator * (scale // v.denominator) for v in values]
     g = gcd(den * scale, *nums)
     return [v // g for v in nums], den * scale // g
-
-
-def _digits(index: int, dims: Sequence[int]) -> tuple[int, ...]:
-    out = []
-    for f in reversed(dims):
-        index, r = divmod(index, f)
-        out.append(r)
-    return tuple(reversed(out))
-
-
-def _from_digits(digits: Sequence[int], dims: Sequence[int]) -> int:
-    index = 0
-    for x, f in zip(digits, dims):
-        index = index * f + x
-    return index
 
 
 class SparseRMatrix:
@@ -146,32 +131,16 @@ class SparseRMatrix:
     def is_zero(self) -> bool:
         return not self.nums
 
-    def _factors(self, dims: Sequence[int], indices: Iterable[int]
-                 ) -> tuple[tuple[int, ...], list[int]]:
-        """The checked factor dimensions ``dims`` of this matrix and the
-        sorted, checked factor ``indices``."""
-        dims = tuple(dims)
-        if any(f <= 0 for f in dims):
-            raise ShapeError(f"factor dimensions must be positive, got {dims}")
-        if prod(dims) != self.n:
-            raise ShapeError(f"product of factor dims {dims} != {self.n} rows")
-        indices = sorted(set(indices))
-        if any(k < 0 or k >= len(dims) for k in indices):
-            raise ShapeError(f"factor indices {indices} out of range for {dims}")
-        return dims, indices
-
-    def partial_transpose(self, dims: Sequence[int], flip: Iterable[int]
-                          ) -> "SparseRMatrix":
-        """Transpose the factors in ``flip`` (0-based) of the split into
-        factors of dimensions ``dims``; an involution."""
-        dims, flip = self._factors(dims, flip)
+    def partial_transpose(self, q: int) -> "SparseRMatrix":
+        """Transpose the second factor of the split into an (n/q)- and a
+        q-dimensional factor; an involution."""
+        if q <= 0 or self.n % q:
+            raise ShapeError(f"second factor dimension {q} must be positive "
+                             f"and divide {self.n}")
         out = {}
         for (r, c), v in self.nums.items():
-            rd = list(_digits(r, dims))
-            cd = list(_digits(c, dims))
-            for k in flip:
-                rd[k], cd[k] = cd[k], rd[k]
-            out[(_from_digits(rd, dims), _from_digits(cd, dims))] = v
+            r2, c2 = r % q, c % q
+            out[r - r2 + c2, c - c2 + r2] = v
         return SparseRMatrix(self.n, out, self.den)
 
     def __eq__(self, other) -> bool:

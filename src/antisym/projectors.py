@@ -27,9 +27,11 @@ Each quantity has one route here.  Two kinds of route exist, and the
   coset of H = <(12),(34)> in S4, each enumerated once per dimension from
   the four signed computational terms of every basis vector; the reduced
   two-factor states are traced from the same terms, and no d^4 x d^4
-  operator of a group-algebra element is ever formed.  The restriction is
-  an algebra isomorphism onto that subspace, so products, idempotence and
-  traces proven there hold for the full-space operators.
+  operator is ever formed.  The maximally entangled pairs Phi x Phi and
+  1 x Phi, which ``invariant_projectors`` combine, are Gram sums over groups
+  of the same terms.  The restriction is an algebra isomorphism onto that
+  subspace, so products, idempotence and traces proven there hold for the
+  full-space operators.
 """
 
 from __future__ import annotations
@@ -39,8 +41,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations, permutations
 
-from .linalg import (RationalLike, ShapeError, SparseRMatrix, _frac,
-                     _lowest_terms)
+from .linalg import RationalLike, SparseRMatrix, _frac, _lowest_terms
 from .young import Partition, weyl_dimension
 
 YOUNG_SHAPES: tuple[Partition, ...] = ((1, 1, 1, 1), (2, 2), (2, 1, 1))
@@ -184,8 +185,7 @@ class GroupAlgebraElement:
 
     def trace_in_dimension(self, d: int) -> Fraction:
         """Trace of the represented operator on (C^d)^{x4}."""
-        return Fraction(sum(v * d ** p.cycle_count()
-                            for p, v in self.nums.items()), self.den)
+        return self.trace_with(Perm4.identity(), d)
 
     def trace_with(self, perm: Perm4, d: int) -> Fraction:
         """tr(U_self U_perm), evaluated by cycle counting."""
@@ -280,10 +280,12 @@ class PairBasis:
     """Orthogonal basis of wedge2(C^d) x wedge2(C^d) inside (C^d)^{x4}.
 
     Basis vectors are (|ij> - |ji>) x (|kl> - |lk>) for i<j, k<l (squared norm
-    4); the restriction map X -> (1/4) B^T X B is an algebra isomorphism on
+    4); the restriction map R(X) = (1/4) B^T X B is an algebra isomorphism on
     operators supported on the subspace, preserves traces, and intertwines the
     partial transpose of factors {2,3} with the partial transpose of the
-    second pair factor.  The tables below are built on first use.
+    second pair factor.  R is never applied to a d^4 x d^4 matrix: every
+    restricted operator is built from the signed terms of the basis vectors.
+    The tables below are built on first use.
     """
 
     def __init__(self, d: int):
@@ -330,24 +332,6 @@ class PairBasis:
             blocks.append(out)
         return tuple(blocks)
 
-    def restrict(self, op: SparseRMatrix) -> SparseRMatrix:
-        """Exact restriction of a 4-factor operator to the pair subspace."""
-        d = self.d
-        if op.n != d ** 4:
-            raise ShapeError("operator does not live on (C^d)^{x4}")
-        index = self.index
-        out: dict[tuple[int, int], int] = {}
-        for (r, c), v in op.nums.items():
-            row = index[r]
-            if row is None:
-                continue
-            col = index[c]
-            if col is None:
-                continue
-            key = (row[0], col[0])
-            out[key] = out.get(key, 0) + (v if row[1] == col[1] else -v)
-        return SparseRMatrix(self.m ** 2, out, op.den * 4)
-
     def restricted_element(self, elem: GroupAlgebraElement) -> SparseRMatrix:
         """R(U_elem) = alpha I + beta R(U_(13)(24)) + gamma R(U_(23)): the
         numerators of ``elem`` collect into one coefficient per H-double
@@ -387,31 +371,38 @@ class PairBasis:
     def identity(self) -> SparseRMatrix:
         return SparseRMatrix.identity(self.m ** 2)
 
+    def _gram(self, group, den: int) -> SparseRMatrix:
+        """R(X) for X = (4/den) sum_g w_g w_g^T, w_g the sum of the
+        computational vectors |a b a' b'> that ``group`` maps to g (None:
+        to no group): R(X) = (1/den) sum_g u_g u_g^T with u_g = B^T w_g,
+        whose entry c sums the signs of the terms of b_c in group g."""
+        vectors: dict = {}
+        for c, terms in enumerate(self.terms):
+            for a, b, x, y, s in terms:
+                g = group(a, b, x, y)
+                if g is not None:
+                    u = vectors.setdefault(g, {})
+                    u[c] = u.get(c, 0) + s
+        out: dict[tuple[int, int], int] = {}
+        for u in vectors.values():
+            for r, v in u.items():
+                for c, w in u.items():
+                    out[r, c] = out.get((r, c), 0) + v * w
+        return SparseRMatrix(self.m ** 2, out, den)
+
     def restricted_phi_phi(self) -> SparseRMatrix:
-        """Restriction of Phi_{AA'} x Phi_{BB'} (maximally entangled pairs)."""
-        d = self.d
-        data = {}
-        for i in range(d):
-            for j in range(d):
-                r = ((i * d + j) * d + i) * d + j
-                for k in range(d):
-                    for l in range(d):
-                        c = ((k * d + l) * d + k) * d + l
-                        data[r, c] = 1
-        return self.restrict(SparseRMatrix(d ** 4, data, d * d))
+        """R(Phi_{AA'} x Phi_{BB'}) (maximally entangled pairs): Phi x Phi =
+        v v^T / d^2 with v the sum of |a b a b>, so R = (B^T v)(B^T v)^T /
+        (4 d^2)."""
+        return self._gram(lambda a, b, x, y: 0 if (a, b) == (x, y) else None,
+                          4 * self.d ** 2)
 
     def restricted_one_phi(self) -> SparseRMatrix:
-        """Restriction of 1_{AA'} x Phi_{BB'}."""
-        d = self.d
-        data = {}
-        for a in range(d):
-            for ap in range(d):
-                for j in range(d):
-                    r = ((a * d + j) * d + ap) * d + j
-                    for l in range(d):
-                        c = ((a * d + l) * d + ap) * d + l
-                        data[r, c] = 1
-        return self.restrict(SparseRMatrix(d ** 4, data, d))
+        """R(1_{AA'} x Phi_{BB'}): 1 x Phi = sum_{a,a'} v v^T / d with v the
+        sum over b of |a b a' b>, so R sums (B^T v)(B^T v)^T / (4 d) over
+        (a, a')."""
+        return self._gram(lambda a, b, x, y: (a, x) if b == y else None,
+                          4 * self.d)
 
 
 @lru_cache(maxsize=None)
@@ -541,7 +532,7 @@ def ppt_overlap_table(d: int) -> Rows:
     rows = [[], [], []]
     for shape in present_shapes(d):
         rho = basis.restricted_element(young_state_element(shape, d))
-        rho_pt = rho.partial_transpose((basis.m, basis.m), (1,))
+        rho_pt = rho.partial_transpose(basis.m)
         for row, op in zip(rows, ops):
             row.append(rho_pt.trace_product(op))
     return tuple(tuple(r) for r in rows)

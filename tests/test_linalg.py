@@ -70,20 +70,27 @@ def test_partial_trace_product_state():
     assert full.n == 1 and full.trace() == xy.trace()
 
 
-OPERATIONS = {"partial_trace": partial_trace,
-              "partial_transpose": SparseRMatrix.partial_transpose}
+# each bad split of a 4 x 4 matrix: the partial trace takes factor
+# dimensions and kept factors, the partial transpose the dimension q of its
+# second factor, which must be positive and divide 4
+BAD_SPLITS = {
+    "product-partial_trace": (partial_trace, ((2, 3), (0,)), "product"),
+    "product-partial_transpose": (SparseRMatrix.partial_transpose, (3,),
+                                  "divide"),
+    "zero-dim-partial_trace": (partial_trace, ((4, 0), (0,)), "positive"),
+    "zero-dim-partial_transpose": (SparseRMatrix.partial_transpose, (0,),
+                                   "positive"),
+    "negative-partial_transpose": (SparseRMatrix.partial_transpose, (-2,),
+                                   "positive"),
+    "index-partial_trace": (partial_trace, ((2, 2), (2,)), "out of range"),
+}
 
 
-@pytest.mark.parametrize("operation", sorted(OPERATIONS))
-@pytest.mark.parametrize("dims, indices, message", [
-    ((2, 3), (0,), "product"),
-    ((4, 0), (0,), "positive"),
-    ((2, 2), (2,), "out of range"),
-], ids=["product", "zero-dim", "index"])
-def test_partial_operations_reject_bad_dims(operation, dims, indices,
-                                            message):
+@pytest.mark.parametrize("case", sorted(BAD_SPLITS))
+def test_partial_operations_reject_bad_dims(case):
+    operation, args, message = BAD_SPLITS[case]
     with pytest.raises(ShapeError, match=message):
-        OPERATIONS[operation](SparseRMatrix.identity(4), dims, indices)
+        operation(SparseRMatrix.identity(4), *args)
 
 
 def _index(digits, dims) -> int:
@@ -199,11 +206,15 @@ def test_partial_transpose_product_and_involution():
     y = square([[5, 6], [7, 8]])
     xy = kron(x, y)
     y_transposed = square([[5, 7], [6, 8]])
-    assert xy.partial_transpose((2, 2), {1}) == kron(x, y_transposed)
-    assert (xy.partial_transpose((2, 2), {1}).partial_transpose((2, 2), {1})
-            == xy)
+    assert xy.partial_transpose(2) == kron(x, y_transposed)
+    assert xy.partial_transpose(2).partial_transpose(2) == xy
+    # a one-dimensional second factor leaves the matrix, the whole space
+    # as second factor transposes it
+    assert xy.partial_transpose(1) == xy
+    assert xy.partial_transpose(4) == kron(square([[1, 3], [2, 4]]),
+                                           y_transposed)
     ident = SparseRMatrix.identity(4)
-    assert ident.partial_transpose((2, 2), {0}) == ident
+    assert ident.partial_transpose(2) == ident
 
 
 def test_partial_transpose_of_maximally_entangled_is_flip():
@@ -212,7 +223,7 @@ def test_partial_transpose_of_maximally_entangled_is_flip():
                          for i in range(d) for j in range(d)})
     flip = matrix(d * d, {(j * d + i, i * d + j): F(1)
                           for i in range(d) for j in range(d)})
-    assert phi.partial_transpose((d, d), {1}) == flip.scale(F(1, d))
+    assert phi.partial_transpose(d) == flip.scale(F(1, d))
 
 
 def test_trace_examples():
@@ -247,12 +258,12 @@ def test_trace_commutes_under_product(ae, be):
        st.lists(fractions, min_size=16, max_size=16))
 @settings(max_examples=50)
 def test_partial_transpose_trace_identity(ae, be):
-    # tr(X^G Y) == tr(X Y^G) on a 2x2-factor space
+    # tr(X^G Y) == tr(X Y^G) for every split of a 4-dimensional space
     x = flat(4, ae)
     y = flat(4, be)
-    for flip in ({0}, {1}, {0, 1}):
-        assert (x.partial_transpose((2, 2), flip).trace_product(y)
-                == x.trace_product(y.partial_transpose((2, 2), flip)))
+    for q in (1, 2, 4):
+        assert (x.partial_transpose(q).trace_product(y)
+                == x.trace_product(y.partial_transpose(q)))
 
 
 @given(st.lists(fractions, min_size=4, max_size=4),
@@ -286,30 +297,36 @@ def test_sparse_round_trip_and_product():
     assert (sp + sp.scale(-1)).is_zero()
 
 
+def second_factors(n: int):
+    """The dimensions q of the second factor of a split of n."""
+    return st.sampled_from([q for q in range(1, n + 1) if n % q == 0])
+
+
 @given(sparse_operators(), st.data())
 @settings(max_examples=100, deadline=None, derandomize=True)
 def test_sparse_arithmetic_matches_entry_sums(operator, data):
-    dims, x = operator
+    _, x = operator
     n = x.n
     y = matrix(n, data.draw(entry_dicts(n)))
-    flip = tuple(sorted(data.draw(st.sets(st.integers(0, len(dims) - 1)))))
+    q = data.draw(second_factors(n))
     xy = x @ y
     difference = x - y
-    x_flipped = x.partial_transpose(dims, flip)
+    x_flipped = x.partial_transpose(q)
     xs, ys = entries(x), entries(y)
     assert entries(xy) == _brute_matmul(xs, ys, n)
     assert x.trace_product(y) == _brute_trace_product(xs, ys, n)
     assert x.trace_product(y) == xy.trace()
     assert entries(difference) == _brute_difference(xs, ys)
-    assert entries(x_flipped) == _brute_partial_transpose(xs, dims, flip)
-    assert x_flipped.partial_transpose(dims, flip) == x
+    assert (entries(x_flipped)
+            == _brute_partial_transpose(xs, (n // q, q), (1,)))
+    assert x_flipped.partial_transpose(q) == x
     assert (x_flipped.trace_product(y)
-            == x.trace_product(y.partial_transpose(dims, flip)))
+            == x.trace_product(y.partial_transpose(q)))
     for out in (xy, difference, x_flipped):
         assert all(v != 0 for v in out.nums.values())
-    for bad in ((len(dims),), (-1,), (0, len(dims) + 1)):
+    for bad in (0, -q, n + 1):
         with pytest.raises(ShapeError):
-            x.partial_transpose(dims, bad)
+            x.partial_transpose(bad)
 
 
 def _assert_canonical(m: SparseRMatrix) -> None:
@@ -327,10 +344,10 @@ def test_storage_is_canonical_int_numerators(operator, data):
     y = matrix(n, raw)
     r = data.draw(fractions)
     keep = tuple(sorted(data.draw(st.sets(st.integers(0, len(dims) - 1)))))
-    flip = tuple(sorted(data.draw(st.sets(st.integers(0, len(dims) - 1)))))
+    q = data.draw(second_factors(n))
     for out in (x, y, x + y, x - y, x - x, x @ y, x.scale(r),
                 x.scale(F(2, 4)), partial_trace(x, dims, keep),
-                x.partial_transpose(dims, flip)):
+                x.partial_transpose(q)):
         _assert_canonical(out)
     # equal as rationals, built by different routes
     assert x.scale(F(2, 4)) == x.scale(F(1, 2)) == x.scale(2).scale(F(1, 4))

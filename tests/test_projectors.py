@@ -20,8 +20,9 @@ from antisym.projectors import (COSET_REPS, DINF, S4, GroupAlgebraElement,
                                 symbolic_overlap_table, werner_mixture,
                                 young_projector_element, young_state_element)
 from antisym.young import weyl_dimension
-from full_space import (partial_trace, reference_to_operator,
-                        reference_young_state)
+from full_space import (one_phi, partial_trace, phi_phi,
+                        reference_to_operator, reference_young_state,
+                        restrict)
 
 B4 = (1, 1, 1, 1)
 SQ = (2, 2)
@@ -242,10 +243,10 @@ def test_full_space_operators_are_sparse():
 
 
 def test_full_verification_builds_no_dense_full_space_matrix(monkeypatch):
-    # group-algebra elements are built on the pair subspace (m^2 x m^2);
-    # the only full-space matrices are the d^4 ones of the maximally
-    # entangled pairs, and every matrix, built directly or by an operation,
-    # passes through __init__
+    # every operator, the maximally entangled pairs included, is built on
+    # the pair subspace (m^2 x m^2), no larger matrix is ever formed, and
+    # every matrix, built directly or by an operation, passes through
+    # __init__
     d = 5
     stored = []
     init = SparseRMatrix.__init__
@@ -257,11 +258,10 @@ def test_full_verification_builds_no_dense_full_space_matrix(monkeypatch):
     monkeypatch.setattr(SparseRMatrix, "__init__", spy)
     for name, check in cli._verification_checks(d, "full"):
         assert check(), name
-    assert max(n for n, _ in stored) == d ** 4
-    assert max(nnz for _, nnz in stored) <= d ** 4
-    # the spy saw the full-space, pair-subspace and reduced matrices
     m = d * (d - 1) // 2
-    assert {d ** 4, m * m, d * d} <= {n for n, _ in stored}
+    assert max(n for n, _ in stored) == m * m
+    # the spy saw the pair-subspace and reduced matrices
+    assert {m * m, d * d} <= {n for n, _ in stored}
 
 
 # -- the double-coset route against the full-space reference -------------------
@@ -295,7 +295,14 @@ def test_restricted_permutations_match_the_full_space(d):
     for p in S4:
         elem = GroupAlgebraElement.of(p)
         assert (basis.restricted_element(elem)
-                == basis.restrict(reference_to_operator(elem, d))), p
+                == restrict(basis, reference_to_operator(elem, d))), p
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 6, 7])
+def test_restricted_phi_operators_match_the_full_space(d):
+    basis = PairBasis(d)
+    assert basis.restricted_phi_phi() == restrict(basis, phi_phi(d))
+    assert basis.restricted_one_phi() == restrict(basis, one_phi(d))
 
 
 integer_elements = st.builds(
@@ -309,7 +316,7 @@ integer_elements = st.builds(
 def test_restricted_elements_match_the_full_space(elem, d):
     basis = pair_basis(d)
     got = basis.restricted_element(elem)
-    assert got == basis.restrict(reference_to_operator(elem, d))
+    assert got == restrict(basis, reference_to_operator(elem, d))
     assert all(got.nums.values())
 
 
@@ -325,9 +332,9 @@ def test_restriction_is_multiplicative():
     basis = PairBasis(d)
     x = young_projector_element(SQ) + pair_projector_element().scale(F(2, 7))
     y = young_projector_element(TAIL) - young_projector_element(SQ).scale(3)
-    lhs = basis.restrict(reference_to_operator(x * y, d))
-    rhs = (basis.restrict(reference_to_operator(x, d))
-           @ basis.restrict(reference_to_operator(y, d)))
+    lhs = restrict(basis, reference_to_operator(x * y, d))
+    rhs = (restrict(basis, reference_to_operator(x, d))
+           @ restrict(basis, reference_to_operator(y, d)))
     assert lhs == rhs == basis.restricted_element(x * y)
     # traces survive the restriction
     assert basis.restricted_element(x).trace() == x.trace_in_dimension(d)
@@ -339,8 +346,10 @@ def test_restricted_transpose_matches_full_transpose():
     for d in (3, 4):
         basis = PairBasis(d)
         rho = reference_young_state(SQ, d)
-        full = basis.restrict(rho.partial_transpose((d,) * 4, (2, 3)))
-        small = basis.restrict(rho).partial_transpose((basis.m,) * 2, (1,))
+        # transposing the second factor of the (d^2, d^2) split transposes
+        # factors 2 and 3 of (d, d, d, d)
+        full = restrict(basis, rho.partial_transpose(d * d))
+        small = restrict(basis, rho).partial_transpose(basis.m)
         assert full == small
 
 
@@ -416,7 +425,7 @@ def test_states_keep_unit_trace_under_transpose():
         for s in present_shapes(d):
             rho = basis.restricted_element(young_state_element(s, d))
             assert rho.trace() == 1
-            assert rho.partial_transpose((basis.m,) * 2, (1,)).trace() == 1
+            assert rho.partial_transpose(basis.m).trace() == 1
 
 
 def test_overlap_table_matches_closed_forms():
