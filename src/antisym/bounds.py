@@ -12,6 +12,10 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .programs import DINF, analytic_dual_point
+from .seesaw import ResourceLimitError
+
+# The largest d whose extension scan (d binomials of ~d bits each) is run.
+SCAN_GUARD = 2 ** 12
 
 
 def log2_fraction(value: Fraction) -> float:
@@ -66,10 +70,12 @@ def squashed_upper_bound(d: int) -> BoundReport:
     Half the minimum extension CMI over k; the exact minimiser is k = d/2 + 1
     for even d with value log2((d+2)/d), and k = (d+1)/2 for odd d with value
     (1/2) log2((d+3)/(d-1)).  The explicit scan and the closed form are
-    compared exactly.
+    compared exactly; a d over ``SCAN_GUARD`` is refused before the scan.
     """
     if d < 3:
         raise ValueError("d must be at least 3")
+    if d > SCAN_GUARD:
+        raise ResourceLimitError(f"d = {d} exceeds the guard {SCAN_GUARD}")
     best_k = None
     best_ratio = None
     for k in range(2, d + 1):

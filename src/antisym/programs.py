@@ -11,13 +11,18 @@ the tests' unreduced reference programme are both built from;
 ``SymLP.to_lp`` assembles the reduced rows in integers, degree by degree, as
 int rows over one denominator.
 
-Two forms exist:
+Two forms exist, both normalised by sum_t q_t = 1:
 
 * ``full3``: all shapes present at the given dimension (two of them at d=3),
-  exact normalisation, constraint rows from the rescaled PPT matrix.
+  constraint rows from the rescaled PPT matrix.
 * ``truncated2``: the dimension-free limit programme on the two
-  symmetric-square shapes with constraint matrix [[-2,1],[1,1]] and
-  normalisation relaxed to <= 1.  Only valid in the limit d -> infinity.
+  symmetric-square shapes with constraint matrix [[-2,1],[1,1]].  Only valid
+  in the limit d -> infinity.
+
+Relaxing the normalisation to sum_t q_t <= 1 would not move either optimum:
+the PPT rows are homogeneous, so a feasible point of positive value scales up
+to sum_t q_t = 1, and the optimum is positive, since the point with every
+copy on the (2, 2) shape is feasible with value 2^-n.
 
 ``SymLP.to_dual_lp`` transposes those rows into the reduced dual of any
 programme.  On the limit programme's dual, ``analytic_dual_point`` evaluates
@@ -64,15 +69,19 @@ class SymLP:
     """A permutation-symmetric tensor-power LP, reduced to count types.
 
     Variables are aggregated masses q_t = multiplicity(t) * p_t where p_t is
-    the common value of the symmetric solution on strings of type t.
+    the common value of the symmetric solution on strings of type t.  The
+    masses sum to one; every other row is homogeneous, one per row type.
     """
     n: int
     symbols: tuple
     weights: tuple[Fraction, ...]               # per-symbol objective weight
     rows: tuple[tuple[Fraction, ...], ...]      # single-copy constraint rows
-    normalization: str                          # "eq" (= 1) or "le" (<= 1)
     types: tuple[tuple[int, ...], ...]          # variable types, lex order
-    row_types: tuple[tuple[int, ...], ...]      # constraint types, lex order
+
+    @property
+    def row_types(self) -> tuple[tuple[int, ...], ...]:
+        """Constraint types: the compositions of n into the rows, lex order."""
+        return tuple(compositions(self.n, len(self.rows)))
 
     def to_lp(self) -> LPProblem:
         """Assemble the programme in one pass over all row types, in ints.
@@ -118,8 +127,7 @@ class SymLP:
                         * factorial(self.n))
         weights, weight_den = _lowest_terms(self.weights)
         c = [prod(w ** k for w, k in zip(weights, t)) for t in self.types]
-        return _normalized_lp(c, weight_den ** self.n, a_ub, dens,
-                              self.normalization)
+        return _normalized_lp(c, weight_den ** self.n, a_ub, dens)
 
     def to_dual_lp(self) -> LPProblem:
         """The reduced dual, transposed from the rows of ``to_lp``: over
@@ -129,12 +137,11 @@ class SymLP:
 
         for each variable type t, where a_kt is entry t of row k and c_t the
         objective weight.  The optimum is minus the primal optimum.  z is the
-        multiplier of the normalisation row; z >= 0 loses nothing for either
-        normalisation, as every optimum is positive.  Row t lies over the
-        objective denominator times the lcm of the column denominators.
+        multiplier of the normalisation row; z >= 0 loses nothing, as every
+        optimum is positive.  Row t lies over the objective denominator times
+        the lcm of the column denominators.
         """
         lp = self.to_lp()
-        rows = lp.a_ub[:len(self.row_types)]
         # column k: multinomial(k) / ub_den[k], one Fraction per column
         weights = [Fraction(factorial(self.n) // prod(map(factorial, k)), den)
                    for k, den in zip(self.row_types, lp.ub_den)]
@@ -143,37 +150,24 @@ class SymLP:
         scales = [-w.numerator * (common // w.denominator) * lp.obj_den
                   for w in weights]
         a_ub = [[-den] + [a * s for a, s in zip(column, scales)]
-                for column in zip(*rows)]
-        return LPProblem([-1] + [0] * len(rows), a_ub,
+                for column in zip(*lp.a_ub)]
+        return LPProblem([-1] + [0] * len(lp.a_ub), a_ub,
                          [-c * common for c in lp.objective],
                          ub_den=[den] * len(a_ub))
 
 
 def _normalized_lp(c: list[int], c_den: int, a_ub: list[list[int]],
-                   dens: list[int], normalization: str) -> LPProblem:
+                   dens: list[int]) -> LPProblem:
     """max (c / c_den).x over the homogeneous rows (a_ub[i] / dens[i]).x <= 0
-    and the normalisation sum x = 1 ("eq") or sum x <= 1 ("le")."""
-    b_ub, b_eq = _right_hand_sides(len(a_ub), normalization)
-    ones = [1] * len(c)
-    if normalization == "eq":
-        return LPProblem(c, a_ub, b_ub, a_eq=[ones], b_eq=b_eq, obj_den=c_den,
-                         ub_den=dens)
-    return LPProblem(c, a_ub + [ones], b_ub, obj_den=c_den, ub_den=dens + [1])
-
-
-def _right_hand_sides(rows: int, normalization: str
-                      ) -> tuple[list[int], list[int]]:
-    """(b_ub, b_eq) of ``_normalized_lp`` with ``rows`` homogeneous rows: zero
-    on each of those, one on the normalisation row, which comes last."""
-    if normalization == "eq":
-        return [0] * rows, [1]
-    return [0] * rows + [1], []
+    and the normalisation sum x = 1, the one equality row."""
+    return LPProblem(c, a_ub, [0] * len(a_ub), a_eq=[[1] * len(c)], b_eq=[1],
+                     obj_den=c_den, ub_den=dens)
 
 
 def single_copy(d=DINF, form: str | None = None,
                 corner: str = "derived") -> tuple:
-    """Single-copy data (symbols, weights, rows, normalisation) of the
-    programme at dimension ``d``, an integer >= 3 or ``math.inf``.
+    """Single-copy data (symbols, weights, rows) of the programme at
+    dimension ``d``, an integer >= 3 or ``math.inf``.
 
     ``form`` defaults to ``truncated2`` in the limit and ``full3`` at finite
     dimension.
@@ -187,12 +181,10 @@ def single_copy(d=DINF, form: str | None = None,
             raise ValueError("the truncated form is only valid in the "
                              "d -> infinity limit")
         symbols, rows = ((1, 1, 1, 1), (2, 2)), TRUNCATED_ROWS
-        normalization = "le"
     else:
         symbols, rows = constraint_columns(d, corner)
-        normalization = "eq"
     weights = tuple(OBJECTIVE_WEIGHTS[s] for s in symbols)
-    return symbols, weights, rows, normalization
+    return symbols, weights, rows
 
 
 def build_purity_bound(n: int, d=DINF, parity: str = "none",
@@ -204,16 +196,14 @@ def build_purity_bound(n: int, d=DINF, parity: str = "none",
         raise ValueError("n must be positive")
     if parity not in PARITIES:
         raise ValueError(f"parity must be one of {PARITIES}")
-    symbols, weights, rows, normalization = single_copy(d, form, corner)
+    symbols, weights, rows = single_copy(d, form, corner)
     types = tuple(compositions(n, len(symbols)))
     if parity == "even":
         if TAIL_SHAPE not in symbols:
             raise ValueError("the parity restriction applies to the full form")
         tail = symbols.index(TAIL_SHAPE)
         types = tuple(t for t in types if t[tail] % 2 == 0)
-    row_types = tuple(compositions(n, len(rows)))
-    return SymLP(n=n, symbols=symbols, weights=weights, rows=rows,
-                 normalization=normalization, types=types, row_types=row_types)
+    return SymLP(n=n, symbols=symbols, weights=weights, rows=rows, types=types)
 
 
 class PurityBound(NamedTuple):
@@ -235,12 +225,12 @@ def solve_purity_bound(n: int, d=DINF, parity: str = "none",
 def dual_value(bound: PurityBound) -> Fraction:
     """The dual objective sum_i y_i b_i of the certified duals y in
     ``bound.solution`` against the right-hand sides b of the programme's
-    rows.  The certificate of ``simplex_solve`` proves it equal to the
+    rows: zero on each homogeneous row, one on the normalisation row, which
+    comes last.  The certificate of ``simplex_solve`` proves it equal to the
     primal optimum; the right-hand sides come without assembling the rows."""
     program, sol = bound.program, bound.solution
-    b_ub, b_eq = _right_hand_sides(len(program.row_types),
-                                   program.normalization)
-    return sum((y * b for y, b in zip(sol.y_ub + sol.y_eq, b_ub + b_eq,
+    rhs = [0] * len(program.row_types) + [1]
+    return sum((y * b for y, b in zip(sol.y_ub + sol.y_eq, rhs,
                                       strict=True)), Fraction(0))
 
 

@@ -414,6 +414,7 @@ def pair_basis(d: int) -> PairBasis:
 
 # -- the three invariant projectors across the AB:A'B' cut --------------------
 
+@lru_cache(maxsize=None)
 def invariant_projectors(d: int) -> tuple[SparseRMatrix, ...]:
     """The three orthogonal projectors (bell, adjoint, tail) spanning the
     commutant on the pair space.
@@ -425,7 +426,8 @@ def invariant_projectors(d: int) -> tuple[SparseRMatrix, ...]:
         tail    = P - bell - adjoint
 
     Traces are 1, d^2 - 1 and (d(d-1)/2)^2 - d^2.  All three are returned
-    restricted to the pair subspace (m^2 x m^2 with m = d(d-1)/2).
+    restricted to the pair subspace (m^2 x m^2 with m = d(d-1)/2), built
+    once per dimension and shared by every caller, which must not change them.
     """
     if d < 3:
         raise ValueError("d must be at least 3 (the tail component is "

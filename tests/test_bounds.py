@@ -10,6 +10,7 @@ from antisym.bounds import (analytic_cost_bound, cost_bound_from_purity,
                             extension_cmi, log2_fraction, relent_lower_bound,
                             relent_ppt_value, squashed_upper_bound)
 from antisym.programs import solve_purity_bound
+from antisym.seesaw import ResourceLimitError
 
 
 def test_extension_cmi_examples():
@@ -51,6 +52,15 @@ def test_squashed_upper_bound_large_d():
     assert abs(report.log2_value - math.log2(1.02)) < 1e-15
     # falls under the asymptotic envelope 2 log2(e) / (d - 1)
     assert report.log2_value <= 2 * math.log2(math.e) / 99
+
+
+def test_squashed_scan_guard_is_inclusive(monkeypatch):
+    from antisym import bounds
+
+    monkeypatch.setattr(bounds, "SCAN_GUARD", 6)
+    assert squashed_upper_bound(6).exact_core == F(8, 6)
+    with pytest.raises(ResourceLimitError, match="^d = 7 exceeds the guard 6$"):
+        squashed_upper_bound(7)
 
 
 def test_even_bound_is_half_the_central_cmi():

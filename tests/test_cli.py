@@ -36,6 +36,21 @@ def test_squashed_usage_error(capsys):
     assert "at least 3" in err
 
 
+@pytest.mark.parametrize("command", [("squashed",), ("squashed", "--all-k"),
+                                     ("bounds", "--n", "1")])
+def test_squashed_scan_guard_exit_code(capsys, monkeypatch, command):
+    from antisym import bounds
+
+    # the guard is checked before the scan, which would fail without its
+    # helper
+    monkeypatch.setattr(bounds, "extension_cmi", None)
+    d = bounds.SCAN_GUARD + 1
+    code, out, err = run(capsys, *command, "--d", str(d))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: d = {d} exceeds the guard {bounds.SCAN_GUARD}\n"
+
+
 def test_lp_primal_golden(capsys):
     code, out, _ = run(capsys, "lp", "primal", "--n", "10", "--dinf",
                        "--form", "truncated2")

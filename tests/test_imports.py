@@ -1,5 +1,5 @@
 """Every module of the package uses every name it imports, and importing
-it builds no lazily computed table."""
+it builds no lazily computed table and loads no scipy."""
 
 import ast
 import os
@@ -26,13 +26,18 @@ def test_no_unused_imports(name):
 
 def test_importing_the_cli_builds_no_table():
     # the caches fill on first use, so a command that never needs them
-    # (and the interpreter start-up of every command) does not pay for them
-    script = ("import antisym.cli\n"
+    # (and the interpreter start-up of every command) does not pay for them;
+    # nor does it load scipy, whose import alone costs a large share of a
+    # short command's wall time
+    script = ("import sys\n"
+              "import antisym.cli\n"
               "from antisym import projectors as p\n"
               "print([f.cache_info().currsize for f in (\n"
               "    p.coset_table, p.pair_basis, p.young_projector_element,\n"
-              "    p.pair_projector_element)])\n")
+              "    p.pair_projector_element, p.invariant_projectors)])\n"
+              "print(sorted(m for m in sys.modules if m.split('.')[0] == "
+              "'scipy'))\n")
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out == "[0, 0, 0, 0]\n"
+    assert out == "[0, 0, 0, 0, 0]\n[]\n"

@@ -38,11 +38,7 @@ def multinomial(counts: tuple[int, ...]) -> int:
 
 def drop_first_row(symlp: SymLP) -> SymLP:
     """Relaxation that deletes the first single-copy constraint row."""
-    rows = symlp.rows[1:]
-    return SymLP(n=symlp.n, symbols=symlp.symbols, weights=symlp.weights,
-                 rows=rows, normalization=symlp.normalization,
-                 types=symlp.types,
-                 row_types=tuple(compositions(symlp.n, len(rows))))
+    return replace(symlp, rows=symlp.rows[1:])
 
 
 def substitute_tail_masses(masses: dict[tuple[int, int, int], F]
@@ -112,11 +108,8 @@ def reference_to_lp(prog):
         a_ub.append(row)
         b_ub.append(F(0))
     c = [reference_objective_coeff(prog, t) for t in prog.types]
-    ones = [F(1)] * nv
-    if prog.normalization == "eq":
-        return LPProblem(objective=c, a_ub=a_ub, b_ub=b_ub, a_eq=[ones],
-                         b_eq=[F(1)])
-    return LPProblem(objective=c, a_ub=a_ub + [ones], b_ub=b_ub + [F(1)])
+    return LPProblem(objective=c, a_ub=a_ub, b_ub=b_ub, a_eq=[[F(1)] * nv],
+                     b_eq=[F(1)])
 
 
 def reference_to_dual_lp(prog):
@@ -173,9 +166,7 @@ def symmetric_programmes(draw):
         y = draw(st.integers(min_value=0, max_value=s - 1))
         types = tuple(t for t in types if t[y] % 2 == 0)
     return SymLP(n=n, symbols=tuple(range(s)), weights=draw(line),
-                 rows=tuple(draw(line) for _ in range(num_rows)),
-                 normalization=draw(st.sampled_from(("eq", "le"))),
-                 types=types, row_types=tuple(compositions(n, num_rows)))
+                 rows=tuple(draw(line) for _ in range(num_rows)), types=types)
 
 
 @given(symmetric_programmes())
@@ -220,7 +211,7 @@ def reference_build_dual(n):
 def build_unreduced(n, d=DINF, form=None):
     """The same programme over all strings, without symmetry reduction, as
     int rows over one denominator each."""
-    symbols, weights, rows, normalization = single_copy(d, form)
+    symbols, weights, rows = single_copy(d, form)
     strings = list(product(range(len(symbols)), repeat=n))
     weights, weight_den = _lowest_terms(weights)
     scaled = [_lowest_terms(row) for row in rows]
@@ -230,23 +221,19 @@ def build_unreduced(n, d=DINF, form=None):
              for w in strings]
             for rpat in patterns]
     dens = [math.prod(den for _, den in rpat) for rpat in patterns]
-    return _normalized_lp(c, weight_den ** n, a_ub, dens, normalization)
+    return _normalized_lp(c, weight_den ** n, a_ub, dens)
 
 
 def reference_build_unreduced(n, d=DINF, form=None):
     """The unreduced programme from Fraction products over all strings."""
-    symbols, weights, rows, normalization = single_copy(d, form)
+    symbols, weights, rows = single_copy(d, form)
     strings = list(product(range(len(symbols)), repeat=n))
     c = [math.prod((weights[y] for y in w), start=F(1)) for w in strings]
     a_ub = [[-math.prod((rows[r][y] for r, y in zip(rpat, w)), start=F(1))
              for w in strings]
             for rpat in product(range(len(rows)), repeat=n)]
-    ones = [F(1)] * len(c)
-    if normalization == "eq":
-        return LPProblem(objective=c, a_ub=a_ub, b_ub=[F(0)] * len(a_ub),
-                         a_eq=[ones], b_eq=[F(1)])
-    return LPProblem(objective=c, a_ub=a_ub + [ones],
-                     b_ub=[F(0)] * len(a_ub) + [F(1)])
+    return LPProblem(objective=c, a_ub=a_ub, b_ub=[F(0)] * len(a_ub),
+                     a_eq=[[F(1)] * len(c)], b_eq=[F(1)])
 
 
 def assert_canonical(lp):
@@ -303,18 +290,40 @@ def test_int_storage_is_canonical_and_matches_the_fraction_constructor(
 
 
 def test_single_copy_data():
-    symbols, weights, rows, normalization = single_copy()
+    symbols, weights, rows = single_copy()
     assert symbols == ((1, 1, 1, 1), (2, 2))
     assert weights == (F(-1), F(1, 2))
-    assert rows == ((F(-2), F(1)), (F(1), F(1))) and normalization == "le"
-    symbols, weights, rows, normalization = single_copy(3)
-    assert symbols == ((2, 2), (2, 1, 1)) and normalization == "eq"
+    assert rows == ((F(-2), F(1)), (F(1), F(1)))
+    symbols, weights, rows = single_copy(3)
+    assert symbols == ((2, 2), (2, 1, 1))
     assert len(rows) == 3 and all(len(r) == 2 for r in rows)
     assert single_copy(5, corner="alt")[2] != single_copy(5)[2]
     with pytest.raises(ValueError):
         single_copy(4, "truncated2")
     with pytest.raises(ValueError):
         single_copy(4, "bogus")
+
+
+def relaxed(lp):
+    """The copy of ``lp`` normalised by sum x <= 1: its eq row moved into the
+    ub rows."""
+    return LPProblem(lp.objective, lp.a_ub + lp.a_eq, lp.b_ub + lp.b_eq,
+                     obj_den=lp.obj_den, ub_den=lp.ub_den + lp.eq_den)
+
+
+@pytest.mark.parametrize("n, d, parity, form", [
+    *[(n, DINF, "none", None) for n in GOLDEN],
+    (3, DINF, "none", "full3"), (4, 3, "none", "full3"),
+    (4, 4, "none", "full3"), (4, 6, "even", "full3"),
+    (3, DINF, "even", "full3")])
+def test_every_programme_has_homogeneous_rows_and_one_normalisation(
+        n, d, parity, form):
+    lp = build_purity_bound(n, d, parity, form).to_lp()
+    assert lp.b_ub == [0] * len(lp.a_ub)
+    assert lp.a_eq == [[1] * lp.num_vars]
+    assert lp.b_eq == [1] and lp.eq_den == [1]
+    value = simplex_solve(lp).value
+    assert simplex_solve(relaxed(lp)).value == value > 0
 
 
 def test_type_enumeration():
@@ -385,8 +394,8 @@ def test_dual_value_is_the_dual_objective_of_the_assembled_rows(n, d, parity,
 
 
 def test_dual_value_moves_with_the_duals():
-    for bound in (solve_purity_bound(4, 4, form="full3"),   # sum x = 1
-                  solve_purity_bound(4)):                    # sum x <= 1
+    for bound in (solve_purity_bound(4, 4, form="full3"),
+                  solve_purity_bound(4)):                    # truncated2
         sol = bound.solution
         duals = sol.y_ub + sol.y_eq
         # the normalisation row comes last and has right-hand side one

@@ -256,12 +256,27 @@ def test_full_verification_builds_no_dense_full_space_matrix(monkeypatch):
         stored.append((self.n, len(self.nums)))
 
     monkeypatch.setattr(SparseRMatrix, "__init__", spy)
+    invariant_projectors.cache_clear()
     for name, check in cli._verification_checks(d, "full"):
         assert check(), name
     m = d * (d - 1) // 2
     assert max(n for n, _ in stored) == m * m
     # the spy saw the pair-subspace and reduced matrices
     assert {m * m, d * d} <= {n for n, _ in stored}
+
+
+def test_full_verification_builds_each_phi_operator_once(monkeypatch):
+    # the invariant-projector check and the overlap table share one build
+    calls = {}
+    for name in ("restricted_phi_phi", "restricted_one_phi"):
+        def counted(self, _build=getattr(PairBasis, name), _name=name):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _build(self)
+        monkeypatch.setattr(PairBasis, name, counted)
+    invariant_projectors.cache_clear()
+    for name, check in cli._verification_checks(5, "full"):
+        assert check(), name
+    assert calls == {"restricted_phi_phi": 1, "restricted_one_phi": 1}
 
 
 # -- the double-coset route against the full-space reference -------------------
