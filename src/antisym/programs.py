@@ -8,8 +8,8 @@ programme is reduced to one variable per occurrence-count type (aggregated
 mass), shrinking 3^n variables to C(n+2,2) and likewise for constraints.
 ``single_copy`` gives the single-copy data that the reduced programme and
 the tests' unreduced reference programme are both built from;
-``SymLP.to_lp`` assembles the reduced rows in integers, degree by degree, as
-int rows over one denominator.
+``SymLP.to_lp`` assembles the reduced rows in integers, as products of
+per-row powers, into int rows over one denominator.
 
 Two forms exist, both normalised by sum_t q_t = 1:
 
@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import factorial, lcm, prod
 from typing import Iterator, NamedTuple
 
@@ -86,43 +87,32 @@ class SymLP:
     def to_lp(self) -> LPProblem:
         """Assemble the programme in one pass over all row types, in ints.
 
-        Row r is scaled once to integers by the lcm D_r of its denominators.
-        The integer polynomial of row type k (the sum over strings y of type t
-        of prod_i rows[w_i][y_i], for a string w of type k) is the polynomial
-        of k - e_r times integer row r, where r is the last nonzero count of
-        k, so degree j is built from degree j - 1 alone.  A variable type t
-        is keyed as sum_y t_y (n+1)^y.  The constraint acts on per-string
+        Row r is scaled once to integers by the lcm D_r of its denominators
+        and read as the linear form L_r = sum_y row_r[y] x_y.  The integer
+        polynomial of row type k (the sum over strings y of type t of
+        prod_i rows[w_i][y_i], for a string w of type k) is the product of
+        the powers L_r^(k_r), each built once.  Monomial prod_y x_y^(t_y) is
+        keyed as sum_y t_y (n+1)^y.  The constraint acts on per-string
         values p_t = q_t / multinomial(t), and 1/multinomial(t) =
         prod_y t_y! / n!, so entry t of row k is -coeff * prod_y t_y! over the
         row denominator D_k * n!, where D_k = prod_r D_r^(k_r).
         """
         shifts = [(self.n + 1) ** y for y in range(len(self.symbols))]
         scaled = [_lowest_terms(row) for row in self.rows]
-        lines = [[(shift, v) for shift, v in zip(shifts, nums) if v]
-                 for nums, _ in scaled]
-        level = {(0,) * len(self.rows): {0: 1}}
-        for _ in range(self.n):
-            nxt = {}
-            for k, poly in level.items():
-                last = max((r for r, c in enumerate(k) if c), default=0)
-                for r in range(last, len(self.rows)):
-                    out: dict[int, int] = {}
-                    for key, coeff in poly.items():
-                        for shift, v in lines[r]:
-                            out[key + shift] = out.get(key + shift, 0) + coeff * v
-                    nxt[k[:r] + (k[r] + 1,) + k[r + 1:]] = out
-            level = nxt
-        index = {sum(c * shift for c, shift in zip(t, shifts)): i
-                 for i, t in enumerate(self.types)}
+        powers = []
+        for nums, _ in scaled:
+            line = {shift: v for shift, v in zip(shifts, nums) if v}
+            row_powers = [{0: 1}]
+            for _ in range(self.n):
+                row_powers.append(_poly_mul(row_powers[-1], line))
+            powers.append(row_powers)
+        keys = [sum(c * shift for c, shift in zip(t, shifts))
+                for t in self.types]
         facts = [prod(factorial(c) for c in t) for t in self.types]
         a_ub, dens = [], []
         for rt in self.row_types:
-            row = [0] * len(self.types)
-            for key, coeff in level[rt].items():
-                i = index.get(key)
-                if i is not None:
-                    row[i] = -coeff * facts[i]
-            a_ub.append(row)
+            poly = reduce(_poly_mul, (p[c] for p, c in zip(powers, rt)))
+            a_ub.append([-poly.get(key, 0) * f for key, f in zip(keys, facts)])
             dens.append(prod(den ** c for (_, den), c in zip(scaled, rt))
                         * factorial(self.n))
         weights, weight_den = _lowest_terms(self.weights)
@@ -154,6 +144,15 @@ class SymLP:
         return LPProblem([-1] + [0] * len(lp.a_ub), a_ub,
                          [-c * common for c in lp.objective],
                          ub_den=[den] * len(a_ub))
+
+
+def _poly_mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """Product of int polynomials {monomial key: coefficient}; keys add."""
+    out: dict[int, int] = {}
+    for ka, va in a.items():
+        for kb, vb in b.items():
+            out[ka + kb] = out.get(ka + kb, 0) + va * vb
+    return out
 
 
 def _normalized_lp(c: list[int], c_den: int, a_ub: list[list[int]],

@@ -1,5 +1,7 @@
 """Command-line surface: exit codes, formats, reproducibility."""
 
+import csv
+import importlib
 import json
 import shlex
 from fractions import Fraction as F
@@ -7,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
+from antisym import cli
 from antisym.cli import main
+from certificates import CERTIFICATES, entries_for, unmapped
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -163,6 +167,98 @@ def test_readme_examples_run(capsys):
             rows = {r["quantity"]: r for r in json.loads(out)["results"]}
             exact = rows["purity_bound"]["exact"]
             assert F(int(exact["num"]), int(exact["den"])) == value, argv
+
+
+def golden_rows(directory=GOLDEN):
+    """(file name, command, quantities) per byte golden, read back from its
+    text, JSON or CSV bytes; a CSV golden takes its command from the JSON
+    golden of the same name."""
+    for path in sorted(directory.iterdir()):
+        text = path.read_text()
+        if path.suffix == ".json":
+            payload = json.loads(text)
+            command = payload["command"]
+            quantities = [r["quantity"] for r in payload["results"]]
+        elif path.suffix == ".txt":
+            lines = text.splitlines()
+            header = next(i for i, line in enumerate(lines)
+                          if line.startswith("quantity "))
+            command = lines[0].removeprefix("# ")
+            quantities = [line.split()[0] for line in lines[header + 1:]]
+        elif path.suffix == ".csv":
+            command = json.loads(path.with_suffix(".json").read_text())[
+                "command"]
+            quantities = [row[0] for row in
+                          csv.reader(text.splitlines()[1:])]
+        else:
+            raise AssertionError(f"unknown golden format: {path.name}")
+        yield path.name, command, quantities
+
+
+def readme_rows(capsys):
+    """(argv, command, quantities) per README example, run in process."""
+    for argv, _ in readme_commands():
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0, argv
+        payload = json.loads(out)
+        yield argv, payload["command"], [r["quantity"]
+                                         for r in payload["results"]]
+
+
+def test_every_printed_row_has_a_certificate_entry(capsys):
+    printed = [*golden_rows(), *readme_rows(capsys)]
+    for where, command, quantities in printed:
+        assert quantities, where
+        assert unmapped(command, quantities) == [], where
+    # and every entry is printed somewhere, so the table holds no stale rows
+    used = {key for _, command, quantities in printed for q in quantities
+            for key in entries_for(command, q)}
+    assert set(CERTIFICATES) - used == set()
+
+
+def test_certificate_checkers_exist():
+    for _, checker in CERTIFICATES.values():
+        module, name = checker.split(":")
+        assert callable(getattr(importlib.import_module(f"antisym.{module}"),
+                                name)), checker
+
+
+def test_an_unmapped_row_fails_the_certificate_walk(capsys, monkeypatch,
+                                                    tmp_path):
+    # a new row printed by a command ...
+    cmd_squashed = cli.cmd_squashed
+
+    def with_new_row(args):
+        params, rows, failure = cmd_squashed(args)
+        rows.append(cli._row("new_bound", F(1), "no certificate", d=args.d))
+        return params, rows, failure
+
+    monkeypatch.setattr(cli, "cmd_squashed", with_new_row)
+    code, out, _ = run(capsys, "squashed", "--d", "4", "--format", "json")
+    assert code == 0
+    quantities = [r["quantity"] for r in json.loads(out)["results"]]
+    assert unmapped("squashed", quantities) == ["new_bound"]
+    # ... and in a golden of each format
+    for ext in ("txt", "json", "csv"):
+        (tmp_path / f"squashed_d4.{ext}").write_bytes(
+            (GOLDEN / f"squashed_d4.{ext}").read_bytes())
+    with open(tmp_path / "squashed_d4.csv", "a") as fh:
+        fh.write("new_bound,,4,1,1,1.0,no certificate\n")
+    with open(tmp_path / "squashed_d4.txt", "a") as fh:
+        fh.write("new_bound     4  1  1.0  no certificate\n")
+    payload = json.loads((tmp_path / "squashed_d4.json").read_text())
+    payload["results"].append({**payload["results"][0],
+                               "quantity": "new_bound"})
+    (tmp_path / "squashed_d4.json").write_text(json.dumps(payload))
+    walked = {name: unmapped(command, quantities)
+              for name, command, quantities in golden_rows(tmp_path)}
+    assert walked == {f"squashed_d4.{ext}": ["new_bound"]
+                      for ext in ("txt", "json", "csv")}
+    # a row matching two entries is as wrong as one matching none
+    assert unmapped("lp dual", ["delta_0"]) == []
+    monkeypatch.setitem(CERTIFICATES, ("lp dual", "delta_0"),
+                        CERTIFICATES[("lp dual", "delta_*")])
+    assert unmapped("lp dual", ["delta_0"]) == ["delta_0"]
 
 
 def test_json_round_trip_and_determinism(capsys):
