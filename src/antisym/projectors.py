@@ -82,13 +82,7 @@ class Perm4:
         return Perm4(tuple(inv))
 
     def sign(self) -> int:
-        s = 1
-        im = self.images
-        for i in range(4):
-            for j in range(i + 1, 4):
-                if im[i] > im[j]:
-                    s = -s
-        return s
+        return (-1) ** (4 - self.cycle_count())
 
     def cycle_count(self) -> int:
         seen = [False] * 4

@@ -6,7 +6,8 @@ denominator each (``LPProblem``):
     max c.x   s.t.   A_ub x <= b_ub,  A_eq x = b_eq,  x >= 0
 
 Two-phase method over exact integer tableaux with float-guided pricing.  A
-small dense floating-point simplex first solves the same standard form and
+small dense floating-point simplex first runs on the exact method's own
+phase-one standard form, built once with its artificial columns, and
 guesses an optimal basis, the guess-then-certify scheme of Applegate, Cook,
 Dash & Espinoza (2007) and Gleixner, Steffy & Wolter (2016).  The exact
 method then prefers the guessed columns as entering columns and falls back
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, count
 from math import gcd, lcm
 
 import numpy as np
@@ -322,22 +323,26 @@ def _max_abs(x: np.ndarray, axis=None) -> np.ndarray:
 
 def _float_basis(rows: list[list[int]], rhs: list[int], cost: list[float],
                  basis: list[int]) -> list[int]:
-    """Floating-point guess of an optimal basis of the standard form.
+    """Floating-point guess of an optimal basis of the exact solver's own
+    standard form.
 
-    ``rows`` and ``rhs`` are the integer constraint rows over the structural
-    and slack columns, with nonnegative right-hand sides; ``cost`` holds the
-    phase-two costs of those columns and ``basis`` the starting basis, -1 on
-    the rows that start on an artificial.  Rows and columns are scaled to unit
-    maximum, which leaves the set of optimal bases unchanged.  When the float
-    solve finds no optimum (most often a most-negative-rule cycle on
-    degenerate rows), it is retried once on a right-hand side perturbed by at
-    most ``FLOAT_PERTURBATION``, seeded, so the guess stays deterministic;
-    the perturbation never leaves the float solve.  Returns the structural
-    and slack columns of the final basis, or [] when neither attempt finds
-    an optimum.
+    ``rows`` and ``rhs`` are the integer phase-one rows of ``simplex_solve``,
+    with nonnegative right-hand sides, over the structural and slack columns
+    and then one artificial column per row that starts on one; ``cost`` holds
+    the phase-two costs of the structural and slack columns, so the columns
+    past ``len(cost)`` are the artificials; ``basis`` names every row's
+    starting column, slack or artificial, with no -1 marker.  Rows and
+    columns are scaled to unit maximum, which leaves the set of optimal bases
+    unchanged.  When the float solve finds no optimum (most often a
+    most-negative-rule cycle on degenerate rows), it is retried once on a
+    right-hand side perturbed by at most ``FLOAT_PERTURBATION``, seeded, so
+    the guess stays deterministic; the perturbation never leaves the float
+    solve.  Returns the structural and slack columns of the final basis, or
+    [] when neither attempt finds an optimum.
     """
     m, num_cols = len(rows), len(cost)
-    a = np.array(rows, dtype=float).reshape(m, num_cols)
+    width = len(rows[0]) if rows else num_cols
+    a = np.array(rows, dtype=float).reshape(m, width)
     b = np.array(rhs, dtype=float)
     c = np.array([float(v) for v in cost])
     with np.errstate(all="ignore"):
@@ -346,7 +351,7 @@ def _float_basis(rows: list[list[int]], rhs: list[int], cost: list[float],
         b /= row_scale
         col_scale = _max_abs(a, axis=0)
         a /= col_scale
-        c /= col_scale
+        c /= col_scale[:num_cols]
         c /= _max_abs(c)
         guess = _float_solve(a, b, c, basis)
         if not guess:
@@ -359,23 +364,20 @@ def _float_basis(rows: list[list[int]], rhs: list[int], cost: list[float],
 def _float_solve(a: np.ndarray, b: np.ndarray, c: np.ndarray,
                  basis: list[int]) -> list[int]:
     """Two-phase float simplex on the scaled data of ``_float_basis``."""
-    m, num_cols = a.shape
-    arts = [i for i in range(m) if basis[i] < 0]
-    width = num_cols + len(arts)
+    m, width = a.shape
+    num_cols = len(c)
+    num_arts = width - num_cols
     cap = FLOAT_PIVOT_FACTOR * (m + width)
     t = np.zeros((m + 1, width + 1))
-    t[:m, :num_cols] = a
+    t[:m, :-1] = a
     t[:m, -1] = b
     basis = list(basis)
-    for k, i in enumerate(arts):
-        t[i, num_cols + k] = 1.0
-        basis[i] = num_cols + k
 
     def price(costs: np.ndarray) -> None:
         t[m] = costs[basis] @ t[:m] - costs
 
-    if arts:
-        price(np.r_[np.zeros(num_cols), -np.ones(len(arts)), 0.0])
+    if num_arts:
+        price(np.r_[np.zeros(num_cols), -np.ones(num_arts), 0.0])
         if (not _float_run(t, basis, np.ones(width, bool), cap)
                 or t[m, -1] < -FLOAT_TOL):
             return []
@@ -384,7 +386,7 @@ def _float_solve(a: np.ndarray, b: np.ndarray, c: np.ndarray,
                 j = int(np.argmax(np.abs(t[r, :num_cols])))
                 if abs(t[r, j]) > FLOAT_TOL:
                     _float_pivot(t, r, j, basis)
-    price(np.r_[c, np.zeros(len(arts) + 1)])
+    price(np.r_[c, np.zeros(num_arts + 1)])
     if not _float_run(t, basis, np.arange(width) < num_cols, cap):
         return []
     return [j for j in basis if j < num_cols]
@@ -395,64 +397,53 @@ def simplex_solve(lp: LPProblem) -> LPSolution:
     n = lp.num_vars
     m_ub = len(lp.a_ub)
     m = m_ub + len(lp.a_eq)
-    num_cols = n + m_ub  # structural + slack; artificials appended after
+    num_cols = n + m_ub     # structural + slack; then the artificials
+    total_cols = num_cols + len(lp.a_eq) + sum(b < 0 for b in lp.b_ub)
+    art = count(num_cols)
     rows: list[list[int]] = []
     rhs: list[int] = []
-    dens: list[int] = []    # row denominators, negated on rows flipped below
-    # Initial basis: positive slacks where available, artificials elsewhere.
-    basis = [-1] * m
+    dens: list[int] = []    # row denominators, negated on rows with b < 0
+    basis: list[int] = []   # positive slacks where available, else artificials
     for i, (row, b, den) in enumerate(zip(lp.a_ub + lp.a_eq, lp.b_ub + lp.b_eq,
                                           lp.ub_den + lp.eq_den)):
-        int_row = row + [0] * m_ub
+        sign = -1 if b < 0 else 1
+        int_row = [sign * v for v in row] + [0] * (total_cols - n)
         if i < m_ub:
-            int_row[n + i] = 1
-        if b < 0:
-            int_row = [-v for v in int_row]
-            b, den = -b, -den
-        elif i < m_ub:
-            basis[i] = n + i
+            int_row[n + i] = sign
+        start = n + i if i < m_ub and b >= 0 else next(art)
+        int_row[start] = 1
         rows.append(int_row)
-        rhs.append(b)
-        dens.append(den)
+        rhs.append(sign * b)
+        dens.append(sign * den)
+        basis.append(start)
     try:    # the guess only steers pricing, so a failed one is dropped
         prefer = set(_float_basis(
             rows, rhs, [c / lp.obj_den for c in lp.objective] + [0.0] * m_ub,
             basis)).intersection(range(num_cols))
     except (ArithmeticError, ValueError):   # overflow to float, empty LP
         prefer = set()
-    art_cols: list[int] = []
-    for i in range(m):
-        if basis[i] < 0:
-            col = num_cols + len(art_cols)
-            art_cols.append(col)
-            for r in range(m):
-                rows[r].append(1 if r == i else 0)
-            basis[i] = col
     id_col = list(basis)    # row i's identity column
-    total_cols = num_cols + len(art_cols)
 
     tab = _Tableau(rows, rhs, basis, total_cols, prefer)
     barred: set[int] = set()
 
-    if art_cols:
-        art_set = set(art_cols)
-        tab.set_objective([-1 if j in art_set else 0
-                           for j in range(total_cols)], 1)
+    if total_cols > num_cols:
+        tab.set_objective([0] * num_cols + [-1] * (total_cols - num_cols), 1)
         if tab.run(barred) != OPTIMAL:
             raise SolverError("phase one cannot be unbounded")
         for r in range(m):
-            if tab.basis[r] in art_set and tab.rhs[r] != 0:
+            if tab.basis[r] >= num_cols and tab.rhs[r] != 0:
                 return LPSolution(status=INFEASIBLE)
         # Drive basic artificials out where possible; bar them from phase two.
         for r in range(m):
-            if tab.basis[r] in art_set:
+            if tab.basis[r] >= num_cols:
                 for j in range(num_cols):
-                    if j not in art_set and tab.rows[r][j] != 0:
+                    if tab.rows[r][j] != 0:
                         tab.pivot(r, j)
                         break
-        barred = art_set
+        barred = set(range(num_cols, total_cols))
 
-    tab.set_objective(lp.objective + [0] * (m_ub + len(art_cols)), lp.obj_den)
+    tab.set_objective(lp.objective + [0] * (total_cols - n), lp.obj_den)
     if tab.run(barred) == UNBOUNDED:
         return LPSolution(status=UNBOUNDED)
 

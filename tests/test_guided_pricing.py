@@ -325,8 +325,9 @@ def test_coefficients_beyond_float_range_solve_exactly():
 
 
 def test_float_guess_on_a_tiny_lp():
-    # max x: x + s1 = 1 starts on slack s1, x - s2 = b on an artificial
-    rows, cost, start = [[1, 1, 0], [1, 0, -1]], [F(1), F(0), F(0)], [1, -1]
+    # max x: x + s1 = 1 starts on slack s1, x - s2 + a = b on artificial a
+    rows, cost = [[1, 1, 0, 0], [1, 0, -1, 1]], [F(1), F(0), F(0)]
+    start = [1, 3]
     assert sorted(simplex._float_basis(rows, [1, 0], cost, start)) == [0, 2]
     assert simplex._float_basis(rows, [1, 2], cost, start) == []  # infeasible
 

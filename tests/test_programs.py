@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from antisym.linalg import _lowest_terms
-from antisym.programs import (DINF, SymLP, _normalized_lp,
+from antisym.programs import (DINF, TRUNCATED_ROWS, SymLP, _normalized_lp,
                               analytic_dual_point, build_purity_bound,
                               compositions, dual_value, single_copy,
                               solve_dual, solve_purity_bound)
@@ -538,6 +538,34 @@ def test_analytic_dual_defaults():
         assert all(dk >= 0 for dk in point.delta)
         # z dominates every symmetrised constraint
         assert all(point.z >= v for v in point.constraint_values)
+
+
+def power_difference(u, w, n):
+    """Entry k of u^(x)n - w^(x)n on the strings with k copies of row 0."""
+    return tuple(u[0] ** k * u[1] ** (n - k) - w[0] ** k * w[1] ** (n - k)
+                 for k in range(n + 1))
+
+
+def test_geometric_dual_point_is_a_difference_of_tensor_powers():
+    # one-copy row weights u, w on TRUNCATED_ROWS; R^T v sums v_r * row r
+    u, w = (F(1, 2), F(1, 4)), (F(1, 2), F(0))
+
+    def transpose_times(v):
+        return tuple(sum(vr * row[y] for vr, row in zip(v, TRUNCATED_ROWS))
+                     for y in range(2))
+
+    assert transpose_times(u) == (F(-3, 4), F(3, 4))
+    assert transpose_times(w) == (F(-1), F(1, 2)) == single_copy()[1]
+    for n in range(1, 25):
+        # row type k has k copies of row 0
+        assert build_purity_bound(n).row_types == tuple(
+            (k, n - k) for k in range(n + 1))
+        assert analytic_dual_point(n).delta == power_difference(u, w, n), n
+    for n, beta, gamma in product((1, 2, 5), (F(0), F(1, 3), F(1, 2), F(5, 7)),
+                                  (F(0), F(1), F(3, 8))):
+        point = analytic_dual_point(n, beta=beta, gamma=gamma)
+        assert point.delta == tuple(
+            gamma * v for v in power_difference((1, beta), (1, 0), n))
 
 
 def test_analytic_dual_weak_duality():

@@ -51,6 +51,15 @@ def test_perm_composition_convention():
     assert Perm4.from_cycles((1, 3), (2, 4)).cycle_count() == 2
 
 
+def test_sign_is_the_inversion_parity():
+    # the sign is read off the cycle count; the reference counts inversions
+    for p in S4:
+        inversions = sum(p.images[i] > p.images[j]
+                         for i in range(4) for j in range(i + 1, 4))
+        assert p.sign() == (-1) ** inversions
+    assert sorted(p.sign() for p in S4) == [-1] * 12 + [1] * 12
+
+
 def test_perm_operator_traces():
     assert perm_operator(Perm4.identity(), 3).trace() == 81
     assert perm_operator(Perm4.from_cycles((1, 3)), 4).trace() == 64
